@@ -240,8 +240,12 @@ def _append_trajectory(path: Path, scale_name: str, rows) -> None:
 
     The file is a JSON list of records, newest last, capped at
     ``TRAJECTORY_KEEP`` so the perf curve across revisions stays
-    readable without growing unboundedly.
+    readable without growing unboundedly.  Quick-scale runs are not
+    recorded: their sizes are not comparable with the other rows, and
+    the smoke test runs them on every tier-1 pass.
     """
+    if scale_name == "quick":
+        return
     records = []
     if path.exists():
         try:

@@ -333,7 +333,9 @@ def levenshtein_one_to_many_bounded(
     The native backend runs a banded two-row DP that abandons a
     candidate as soon as every band cell exceeds the bound — the range
     query's answer (and the ``dists_computed`` accounting, which counts
-    *evaluations*, not full DPs) is unchanged.
+    *evaluations*, not full DPs) is unchanged.  The other backends have
+    no band: they compute the exact distances and mask those above the
+    bound.
     """
     if math.isinf(bound):
         return levenshtein_one_to_many(query, ys)

@@ -6,13 +6,19 @@ They hold the GIL but amortise Python-level dispatch over whole
 batches:
 
 * Minkowski / Hamming are plain broadcast reductions;
-* Levenshtein runs the two-row DP *across the entire batch at once* —
-  the only loop in Python iterates over the query's characters, and the
-  in-row dependency ``cur[j] = min(t[j], cur[j-1] + 1)`` is resolved
-  with the prefix-minimum identity
-  ``cur[j] = min_{k<=j} (t[k] + (j - k))`` via
-  ``np.minimum.accumulate`` — so a batch of 1 000 candidate words costs
-  ~``len(query)`` vector operations instead of a million Python steps;
+* Levenshtein runs the DP *across the entire batch at once*.  A batch
+  is encoded in one pass: the CSR encoder shared with the native
+  wrappers (one join, one UTF-32 encode) feeds one masked scatter into
+  a zero-padded ``(width, n)`` codepoint matrix.  For one-to-many, one
+  comparison then builds the whole ``(len(query), width, n)`` match
+  tensor.  The only Python loop iterates over the left string's
+  characters; each step updates one DP row for every pair in place on
+  preallocated buffers.  The in-row dependency
+  ``cur[j] = min(t[j], cur[j-1] + 1)`` is resolved with the
+  prefix-minimum identity ``cur[j] = min_{k<=j} (t[k] + (j - k))``:
+  the row is kept shifted by ``-j``, so one ``np.minimum.accumulate``
+  finishes it.  A call over 100 words costs ~``len(query)`` steps of
+  four vector operations each.
 * Jaccard loops over Python's C-implemented set intersection (there is
   no profitable dense formulation for sparse sets).
 
@@ -22,11 +28,11 @@ bit-equality against both the scalar reference and the native kernels.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .encode import codepoints
+from .encode import codepoints, encode_strings
 
 __all__ = [
     "minkowski_pairwise",
@@ -93,79 +99,98 @@ def jaccard_scalar(a: Any, b: Any) -> float:
     return 1.0 - len(sa & sb) / union
 
 
-def _pad_codepoints(
-    strings: Sequence[str],
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Pad strings into an ``(n, L)`` int64 codepoint matrix (pad = -1)."""
-    lengths = np.array([len(s) for s in strings], dtype=np.int64)
-    width = int(lengths.max()) if len(strings) else 0
-    matrix = np.full((len(strings), width), -1, dtype=np.int64)
-    for i, s in enumerate(strings):
-        if s:
-            matrix[i, : len(s)] = codepoints(s).astype(np.int64)
-    return matrix, lengths, width
+def _code_matrix(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The strings' codepoints as a ``(width, n)`` uint32 matrix, one
+    string per column, zero-padded, plus the int64 lengths.
+
+    One CSR encode and one masked scatter: the mask is taken through the
+    ``(n, width)`` transpose, so its row-major order is the CSR order.
+    """
+    data, offsets = encode_strings(strings)
+    lengths = np.diff(offsets)
+    width = int(lengths.max(initial=0))
+    codes = np.zeros((width, len(strings)), dtype=np.uint32)
+    codes.T[np.arange(width) < lengths[:, None]] = data
+    return codes, lengths
 
 
-def _dp_step(
-    state: np.ndarray,
-    cost: np.ndarray,
-    i: int,
-    positions: np.ndarray,
+def _edit_dp(
+    matches: Iterable[np.ndarray],
+    left_len: np.ndarray,
+    right_len: np.ndarray,
+    width: int,
 ) -> np.ndarray:
-    """One row of the batched edit DP with the prefix-min insertion fix."""
-    candidate = np.empty_like(state)
-    candidate[:, 0] = i
-    np.minimum(state[:, :-1] + cost, state[:, 1:] + 1, out=candidate[:, 1:])
-    shifted = candidate - positions
-    np.minimum.accumulate(shifted, axis=1, out=shifted)
-    return shifted + positions
+    """Edit distances of ``n`` string pairs, one DP row per left character.
+
+    ``matches`` yields, for left characters ``i = 1, 2, ...``, a
+    ``(width, n)`` int64 matrix holding 1 where character ``i`` of the
+    left string equals character ``j`` of the right string.  The row is
+    kept shifted, ``state[j] = D[i][j] - j``, so the recurrence reads
+
+        state'[j] = min_{k <= j} t[k],  t[0] = i,
+        t[j] = min(state[j - 1] - match[j - 1], state[j] + 1),
+
+    which is a subtract, an add, a minimum and one prefix-minimum, all
+    in place on preallocated buffers.  Pair ``r`` is read off at row
+    ``left_len[r]``, column ``right_len[r]``; zero padding never reaches
+    a cell that is read, because ``D[i][j]`` depends only on
+    ``D[:i+1][:j+1]``.
+    """
+    n = len(left_len)
+    state = np.zeros((width + 1, n), dtype=np.int64)
+    t = np.empty_like(state)
+    deletion = np.empty((width, n), dtype=np.int64)
+    head, tail, t_tail = state[:-1], state[1:], t[1:]
+    finishing = {
+        i: np.flatnonzero(left_len == i)
+        for i in np.flatnonzero(np.bincount(left_len)).tolist()
+    }
+    out = np.empty(n, dtype=np.float64)
+
+    def read_off(i: int) -> None:
+        rows = finishing.get(i)
+        if rows is not None:
+            cols = right_len[rows]
+            out[rows] = state[cols, rows] + cols
+
+    read_off(0)
+    for i, match in enumerate(matches, 1):
+        np.subtract(head, match, out=t_tail)
+        np.add(tail, 1, out=deletion)
+        np.minimum(t_tail, deletion, out=t_tail)
+        t[0] = i
+        np.minimum.accumulate(t, axis=0, out=state)
+        read_off(i)
+    return out
 
 
 def levenshtein_one_to_many(query: str, ys: Sequence[str]) -> np.ndarray:
-    """Edit distances from ``query`` to each candidate, batched in numpy."""
-    n = len(ys)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    matrix, lengths, width = _pad_codepoints(ys)
-    lq = len(query)
-    if lq == 0:
-        return lengths.astype(np.float64)
-    if width == 0:
-        return np.full(n, float(lq))
-    q = codepoints(query).astype(np.int64)
-    positions = np.arange(width + 1, dtype=np.int64)
-    state = np.tile(positions, (n, 1))
-    for i in range(1, lq + 1):
-        cost = (matrix != q[i - 1]).astype(np.int64)
-        state = _dp_step(state, cost, i, positions)
-    return state[np.arange(n), lengths].astype(np.float64)
+    """Edit distances from ``query`` to each candidate, batched in numpy.
+
+    The ``(len(query), width, n)`` match tensor is built in one
+    comparison before the DP runs.
+    """
+    codes, lengths = _code_matrix(ys)
+    q = codepoints(query)
+    matches = (q[:, None, None] == codes[None]).astype(np.int64)
+    left_len = np.full(len(ys), len(query), dtype=np.int64)
+    return _edit_dp(matches, left_len, lengths, codes.shape[0])
 
 
 def levenshtein_rowwise(
     xs: Sequence[str], ys: Sequence[str]
 ) -> np.ndarray:
-    """Aligned edit distances, batched: iterate over the longest left
-    string's characters while snapshotting each row at its own length."""
-    n = len(xs)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    left, left_len, left_width = _pad_codepoints(xs)
-    right, right_len, right_width = _pad_codepoints(ys)
-    out = np.empty(n, dtype=np.float64)
-    rows = np.arange(n)
-    if right_width == 0:
-        return left_len.astype(np.float64)
-    positions = np.arange(right_width + 1, dtype=np.int64)
-    state = np.tile(positions, (n, 1))
-    done = left_len == 0
-    out[done] = right_len[done].astype(np.float64)
-    for i in range(1, left_width + 1):
-        cost = (right != left[:, i - 1][:, None]).astype(np.int64)
-        state = _dp_step(state, cost, i, positions)
-        done = left_len == i
-        if done.any():
-            out[done] = state[rows[done], right_len[done]].astype(np.float64)
-    return out
+    """Aligned edit distances, batched: one DP row per character of the
+    longest left string, each pair read off at its own length.
+
+    The match matrices are made one left character at a time: the
+    histogram sampler passes thousands of pairs, and the whole tensor
+    would cost ``8 * width_x * width_y`` bytes per pair.
+    """
+    left, left_len = _code_matrix(xs)
+    right, right_len = _code_matrix(ys)
+    matches = ((right == row).astype(np.int64) for row in left)
+    return _edit_dp(matches, left_len, right_len, right.shape[0])
 
 
 def levenshtein_pairwise(

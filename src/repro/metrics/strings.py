@@ -13,6 +13,7 @@ exceeds a threshold — handy inside range queries with a small radius.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,12 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
+def _check_bound(bound: float) -> None:
+    """Reject a negative or NaN cutoff (NaN passes a ``bound < 0`` test)."""
+    if math.isnan(bound) or bound < 0:
+        raise InvalidParameterError(f"bound must be >= 0, got {bound}")
+
+
 class EditDistance(Metric):
     """Unit-cost Levenshtein metric on strings."""
 
@@ -63,8 +70,7 @@ class EditDistance(Metric):
         Uses the length difference lower bound and a banded DP so the cost
         is ``O(bound * max(len))`` instead of ``O(len(a) * len(b))``.
         """
-        if bound < 0:
-            raise InvalidParameterError(f"bound must be >= 0, got {bound}")
+        _check_bound(bound)
         if abs(len(a) - len(b)) > bound:
             return float("inf")
         if len(b) > len(a):
@@ -104,8 +110,7 @@ class EditDistance(Metric):
     ) -> np.ndarray:
         """Batched :meth:`bounded_distance`: exact where ``<= bound``,
         ``inf`` elsewhere, via the banded early-exit kernel when native."""
-        if bound < 0:
-            raise InvalidParameterError(f"bound must be >= 0, got {bound}")
+        _check_bound(bound)
         return kernels.levenshtein_one_to_many_bounded(x, ys, bound)
 
     @staticmethod

@@ -33,7 +33,8 @@ from repro.metrics import (
     kernels,
 )
 
-WORD = st.text(alphabet="abcdefg", min_size=0, max_size=16)
+# BMP (é, €) and astral (𝔸) characters exercise the UTF-32 encoding.
+WORD = st.text(alphabet="abcdefgé€𝔸", min_size=0, max_size=16)
 WORDS = st.lists(WORD, min_size=0, max_size=12)
 VEC = st.lists(
     st.floats(

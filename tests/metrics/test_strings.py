@@ -70,6 +70,13 @@ class TestBoundedDistance:
         with pytest.raises(InvalidParameterError):
             EditDistance().bounded_distance("a", "b", -1)
 
+    def test_nan_bound_rejected(self):
+        metric = EditDistance()
+        with pytest.raises(InvalidParameterError):
+            metric.one_to_many_bounded("abc", ["abd"], float("nan"))
+        with pytest.raises(InvalidParameterError):
+            metric.bounded_distance("abc", "abd", float("nan"))
+
     @given(short_words, short_words, st.integers(min_value=0, max_value=6))
     def test_bounded_agrees_with_exact(self, a, b, bound):
         exact = edit_distance(a, b)

@@ -5,7 +5,8 @@ Each ``benchmarks/bench_*.py`` file is executed in a subprocess with
 call per bench, no timing rounds), asserting a clean exit and that the
 autouse conftest fixture emitted a metrics snapshot for every test in the
 file.  This keeps all twenty paper/extension benches runnable without
-paying their default-scale runtimes in CI.
+paying their default-scale runtimes in CI.  A quick-scale run must leave
+the tracked ``benchmarks/BENCH_*.json`` trajectories byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
+TRAJECTORIES = sorted(BENCH_DIR.glob("BENCH_*.json"))
 
 # Per-file subprocess timeout: quick-scale benches finish in 3-15 s each;
 # a stuck bench should fail fast rather than hang the suite.
@@ -29,6 +31,7 @@ TIMEOUT_S = 180
 
 def test_bench_directory_is_nonempty():
     assert len(BENCH_FILES) >= 20, "bench suite unexpectedly shrank"
+    assert TRAJECTORIES, "no tracked BENCH_*.json trajectory to guard"
 
 
 @pytest.mark.parametrize(
@@ -40,6 +43,7 @@ def test_bench_smoke(bench_file, tmp_path):
     env["METRICOST_BENCH_SCALE"] = "quick"
     env["METRICOST_METRICS_DIR"] = str(metrics_dir)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    before = {path.name: path.read_bytes() for path in TRAJECTORIES}
     proc = subprocess.run(
         [
             sys.executable,
@@ -61,6 +65,12 @@ def test_bench_smoke(bench_file, tmp_path):
     assert proc.returncode == 0, (
         f"{bench_file.name} failed at quick scale:\n"
         f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
+    )
+    after = {path.name: path.read_bytes() for path in TRAJECTORIES}
+    changed = sorted(name for name in before if after[name] != before[name])
+    assert not changed, (
+        f"{bench_file.name} rewrote tracked trajectories at quick scale: "
+        f"{changed}"
     )
 
     snapshots = sorted(metrics_dir.glob("*.metrics.json"))

@@ -27,11 +27,12 @@ Three more stages ride along (``--stage`` selects one):
   generation store — ``success_rate == 1.0`` and zero silent short
   answers across the entire drill, no manual ``health_check`` call.
 * **rebalance** — run the full query workload *concurrently* with a
-  two-phase shard rebalance (one shard slowed under it), asserting
-  every answer is complete, matches ground truth, and names exactly
-  one membership epoch (old or new, never a mix); then kill the
-  rebalance at every journal step and assert the reopened cluster
-  always answers from a single epoch and ``resume()`` always finishes.
+  shard rebalance (one shard slowed under it), asserting every answer
+  is complete, matches ground truth, and names exactly one membership
+  epoch (old or new, never a mix); then kill the rebalance at every
+  save step and assert the reopened cluster always answers from a
+  single epoch, and that store recovery plus at most one re-plan and
+  execute always reaches the new epoch with no stale files.
 * **ingest** — hammer snapshot-pinned queries against a growing
   ``IngestService``, kill the process between ack and apply and at
   every checkpoint step (zero lost acked inserts, every view
@@ -101,6 +102,9 @@ def build_workload(data, n_queries: int, seed: int = 23):
 
 def audit_outcome(outcome, router, points, metric, floor, check) -> dict:
     """Audit one outcome against single-node ground truth.
+
+    ``router`` only supplies ``shards`` indexed by shard id, so a
+    :class:`ClusterMembership` snapshot works in its place.
 
     Returns counters: pruned decisions seen (all proof-checked) and
     whether the victim shard degraded this answer.
@@ -334,7 +338,7 @@ def stage_lifecycle(args, check) -> None:
 
 
 def stage_rebalance(args, check) -> None:
-    """Stage 3: rebalance under chaos + kill at every journal step."""
+    """Stage 3: rebalance under chaos + kill at every save step."""
     size = 300 if args.quick else 600
     n_queries = 60 if args.quick else 200
     n_shards = 3
@@ -342,7 +346,7 @@ def stage_rebalance(args, check) -> None:
     points = list(data.points)
 
     # 3a. Queries hammer the router (one shard slowed) while the
-    # two-phase rebalance commits underneath them.
+    # rebalance commits underneath them.
     with tempfile.TemporaryDirectory() as tmp:
         router = build_cluster(
             points,
@@ -356,7 +360,8 @@ def stage_rebalance(args, check) -> None:
         )
         save_cluster(router, tmp, data.d_plus)
         rebalancer = Rebalancer(tmp, data.metric)
-        old_epoch = router.membership.epoch
+        old_membership = router.membership
+        old_epoch = old_membership.epoch
         plan = plan_rebalance(router, data.d_plus, seed=5, reason="chaos")
         injector = ShardFaultInjector(seed=37)
         injector.slow(router.shards[0], SLOW_S / 2)
@@ -392,15 +397,23 @@ def stage_rebalance(args, check) -> None:
             epochs <= {old_epoch, old_epoch + 1},
             f"every answer names one epoch from {{old, new}} (saw {epochs})",
         )
+        # Audit each answer against the membership that served it: a
+        # pruning proof from the old epoch is only checkable against
+        # the old shards' pivot profiles.
         for outcome in run.outcomes:
-            audit_outcome(outcome, router, points, data.metric, 1.0, check)
+            served_by = (
+                old_membership if outcome.epoch == old_epoch else router
+            )
+            audit_outcome(
+                outcome, served_by, points, data.metric, 1.0, check
+            )
         print(
             f"\nrebalance stage: {n_queries} queries in {wall_s:.1f} s "
             f"concurrent with a commit to epoch {router.membership.epoch}"
         )
 
-    # 3b. Kill the protocol at every journal step; the reopened cluster
-    # must answer from exactly one epoch, and resume must finish.
+    # 3b. Kill the protocol at every save step; the reopened cluster
+    # must answer from exactly one epoch, and a re-plan must finish.
     probe_rebalancer = Rebalancer(tempfile.mkdtemp(), data.metric)
     total = probe_rebalancer.total_steps(n_shards)
     steps = range(0, total + 1, 3) if args.quick else range(total + 1)
@@ -434,7 +447,7 @@ def stage_rebalance(args, check) -> None:
                 quiet=True,
             )
             rebalancer = Rebalancer(tmp, data.metric)
-            rebalancer.recover()
+            rebalancer.store.recover()
             survivor = load_cluster(tmp, data.metric)
             check(
                 survivor.membership.epoch in (old_epoch, plan.epoch_to),
@@ -460,16 +473,15 @@ def stage_rebalance(args, check) -> None:
                     f"kill step {k}: survivor answer matches ground truth",
                     quiet=True,
                 )
-            resumed = rebalancer.resume(router=None)
-            if resumed is None and rebalancer.committed_epoch() == old_epoch:
-                fresh = load_cluster(tmp, data.metric)
+            if survivor.membership.epoch == old_epoch:
                 rebalancer.execute(
-                    fresh, plan_rebalance(fresh, data.d_plus, seed=5)
+                    survivor, plan_rebalance(survivor, data.d_plus, seed=5)
                 )
             check(
                 rebalancer.committed_epoch() == plan.epoch_to
-                and rebalancer.gc_report()["clean"],
-                f"kill step {k}: resume finished at the new epoch, no debris",
+                and rebalancer.store.stale_files() == [],
+                f"kill step {k}: re-plan finished at the new epoch, "
+                f"no debris",
                 quiet=True,
             )
     print(

@@ -341,25 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gc = subparsers.add_parser(
         "gc",
-        help="inspect and reclaim crash debris in a cluster store "
-        "directory: stale rebalance journals, orphaned staging files, "
-        "uncollected generation files",
+        help="inspect and reclaim crash debris in a generation store "
+        "directory (a cluster store or an ingest snapshots/ directory): "
+        "files the committed manifest does not own",
     )
     gc.add_argument(
         "directory",
-        help="the cluster GenerationStore directory to inspect",
+        help="the GenerationStore directory to inspect",
     )
     gc.add_argument(
         "--reclaim",
         action="store_true",
-        help="actually remove the debris (default: report only)",
-    )
-    gc.add_argument(
-        "--force",
-        action="store_true",
-        help="with --reclaim, also abandon a *resumable* in-flight "
-        "rebalance (its journal and staging copies are deleted; the "
-        "committed epoch keeps serving)",
+        help="run the store's crash recovery, which removes the debris "
+        "(default: report only)",
     )
     gc.add_argument(
         "--json",
@@ -809,54 +803,47 @@ def _run_scrub(args: argparse.Namespace) -> int:
 
 
 def _run_gc(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
-    from .cluster import Rebalancer
-    from .metrics import L2
+    from .service import GenerationStore
 
-    # The metric is only consulted when loading trees; the GC paths
-    # operate purely on files, so any metric satisfies the constructor.
-    rebalancer = Rebalancer(args.directory, L2())
-    if args.reclaim:
-        result = rebalancer.gc(force=args.force)
-        report = result["report"]
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            removed = result["removed"]
-            print(
-                f"metricost gc — {report['directory']}: reclaimed "
-                f"{len(removed)} file(s)"
-            )
-            for name in removed:
-                print(f"  removed {name}")
-            if report["journal"] == "resumable":
-                print(
-                    "  in-flight rebalance journal preserved "
-                    "(resume it, or pass --force to abandon)"
-                )
-        return 0 if report["clean"] or report["journal"] == "resumable" else 1
-    report = rebalancer.gc_report()
+    store = GenerationStore(args.directory)
+    stale = store.stale_files()
+    recovery = store.recover() if args.reclaim else None
+    left = store.stale_files() if recovery is not None else stale
     if args.json:
+        report: Dict[str, object] = {
+            "directory": str(store.directory),
+            "generation": store.generation,
+            "stale_files": stale,
+            "recovery": (
+                dataclasses.asdict(recovery) if recovery is not None else None
+            ),
+            "clean": not left,
+        }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         lines = [
-            f"metricost gc — {report['directory']} "
-            f"(committed epoch: {report['committed_epoch']})"
+            f"metricost gc — {store.directory} "
+            f"(committed generation: {store.generation})"
         ]
-        lines.append(f"rebalance journal: {report['journal']}")
-        for name in report["orphaned_staging"]:
-            lines.append(f"orphaned staging:  {name}")
-        for name in report["stale_generation_files"]:
-            lines.append(f"stale generation:  {name}")
-        verdict = (
-            "clean"
-            if report["clean"]
-            else "debris found (rerun with --reclaim to remove)"
-        )
-        lines.append(f"verdict: {verdict}")
+        lines.extend(f"stale: {name}" for name in stale)
+        if recovery is not None:
+            lines.append(
+                f"recover: {recovery.action}"
+                + "".join(f"; {note}" for note in recovery.notes)
+            )
+        if not left:
+            lines.append("verdict: clean")
+        elif recovery is None:
+            lines.append(
+                "verdict: debris found (rerun with --reclaim to remove)"
+            )
+        else:
+            lines.append(f"verdict: debris left after recovery: {left}")
         print("\n".join(lines))
-    return 0 if report["clean"] else 1
+    return 0 if not left else 1
 
 
 def _run_serve_bench(args: argparse.Namespace) -> int:

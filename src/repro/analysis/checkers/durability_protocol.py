@@ -1,8 +1,9 @@
 """durability-protocol: no ack before fsync, no raw I/O outside helpers.
 
-The ingest WAL (PR 9) promises fsync-before-ack and the snapshot /
-rebalance machinery (PRs 6/8) funnels every file write through the
-atomic temp-fsync-rename helpers.  Those promises are protocol, not
+The ingest WAL promises fsync-before-ack, and ingest snapshots and
+cluster rebalances commit through one ``GenerationStore.save``, whose
+every file write goes through the atomic temp-fsync-rename helpers.
+Those promises are protocol, not
 syntax — a refactor that returns the ack one statement too early, or
 opens a file with a bare ``open(path, "w")``, type-checks and passes
 every unit test that doesn't crash at exactly the wrong moment.

@@ -1,8 +1,8 @@
 """epoch-fence: epochs are compared through fences, never merged.
 
-PR 8 made membership epochs the cluster's only defence against routing
-to a stale world: ``Router.install_membership`` rejects non-monotonic
-installs, ``IngestService.require_epoch`` and the rebalance journal
+Membership epochs are the cluster's only defence against routing to a
+stale world: ``Router.install_membership`` rejects non-monotonic
+installs, ``IngestService.require_epoch`` and ``Rebalancer.execute``
 raise :class:`~repro.exceptions.StaleEpochError` on mismatch, and every
 outcome carries exactly one epoch.  An *unfenced* epoch comparison —
 one whose result is consumed silently instead of raising or feeding a

@@ -472,12 +472,10 @@ def _self_test(seed: int) -> List[DoctorCheck]:
         )
 
     def lifecycle_gc() -> str:
-        # A rebalance killed mid-protocol strands debris: a stale
-        # REBALANCE journal, orphaned staging copies, uncommitted (or
-        # un-GC'd) generation files.  The gc path must *detect* all of
-        # it read-only, *reclaim* it, and leave the store loadable at
-        # exactly one membership epoch — old before the commit point,
-        # new after.
+        # A rebalance is one generation-store save.  Kill it once before
+        # the commit point (the old membership epoch must survive) and
+        # once after it (the new one must): stale_files() must report
+        # what each kill stranded, and recover() must reclaim it.
         from ..cluster import (
             Rebalancer,
             build_cluster,
@@ -489,10 +487,8 @@ def _self_test(seed: int) -> List[DoctorCheck]:
 
         points = rng.random((90, 3))
         metric = L2()
-        probed_epochs = []
-        # Crash once mid-staging (before the commit point: old epoch
-        # must survive) and once mid-store-GC (after it: new epoch).
-        for crash_step, expected_epoch in ((2, 1), (11, 2)):
+        probed = []
+        for after_commit in (False, True):
             with tempfile.TemporaryDirectory() as tmp:
                 router = build_cluster(
                     points, metric, n_shards=3, d_plus=2.0, seed=seed
@@ -501,6 +497,16 @@ def _self_test(seed: int) -> List[DoctorCheck]:
                 rebalancer = Rebalancer(tmp, metric)
                 plan = plan_rebalance(
                     router, 2.0, seed=seed + 1, reason="manual"
+                )
+                # Step 2 writes the first new shard file; the last step
+                # is the store's old-generation GC.
+                crash_step = (
+                    rebalancer.total_steps(plan.n_shards) - 1
+                    if after_commit
+                    else 2
+                )
+                expected_epoch = (
+                    plan.epoch_to if after_commit else plan.epoch_from
                 )
                 try:
                     rebalancer.execute(
@@ -511,27 +517,16 @@ def _self_test(seed: int) -> List[DoctorCheck]:
                     )
                 except SimulatedCrashError:
                     pass
-                report = rebalancer.gc_report()
-                if expected_epoch == 1:
-                    # Pre-commit crash: the journal is *resumable* (the
-                    # copy cursor survives), and gc must say so rather
-                    # than calling the directory clean-and-empty.
-                    if report["journal"] != "resumable" or not (
-                        report["staging_files"]
-                    ):
-                        raise AssertionError(
-                            f"gc_report missed the in-flight rebalance: "
-                            f"{report}"
-                        )
-                elif report["clean"]:
+                stale = rebalancer.store.stale_files()
+                if not stale:
                     raise AssertionError(
-                        f"gc_report missed the step-{crash_step} debris"
+                        f"stale_files() missed the step-{crash_step} debris"
                     )
-                rebalancer.gc(force=True)
-                after = rebalancer.gc_report()
-                if not after["clean"]:
+                rebalancer.store.recover()
+                left = rebalancer.store.stale_files()
+                if left:
                     raise AssertionError(
-                        f"gc left debris behind: {after}"
+                        f"recover() left debris behind: {left}"
                     )
                 loaded = load_cluster(tmp, metric)
                 if loaded.epoch != expected_epoch:
@@ -549,11 +544,14 @@ def _self_test(seed: int) -> List[DoctorCheck]:
                         f"loaded membership does not partition the "
                         f"dataset after crash at step {crash_step}"
                     )
-                probed_epochs.append(loaded.epoch)
+                probed.append(
+                    f"step {crash_step}: {len(stale)} file(s), "
+                    f"epoch {loaded.epoch}"
+                )
         return (
-            f"rebalance killed mid-staging and mid-GC: debris detected "
-            f"and reclaimed both times, store loadable at exactly one "
-            f"epoch each time (epochs {probed_epochs})"
+            f"rebalance killed before and after its commit point, debris "
+            f"reported and reclaimed, store loadable at exactly one "
+            f"epoch each time ({'; '.join(probed)})"
         )
 
     def ingest_wal() -> str:

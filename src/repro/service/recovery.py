@@ -21,7 +21,8 @@ A crash at any byte offset of any step leaves the store loadable:
 before the commit point :meth:`GenerationStore.load` still reads the old
 generation in full; after it, the new one.  :meth:`GenerationStore.recover`
 rolls an interrupted save forward (journal + committed manifest) or back
-(journal, no commit), and sweeps stray temp files.
+(journal, no commit), and sweeps stray temp files and any generation
+file the committed manifest does not own.
 
 ``save(crash_after_step=k)`` injects a :class:`SimulatedCrashError` after
 the k-th step, so tests and ``python -m repro doctor`` can kill the
@@ -279,9 +280,13 @@ class GenerationStore:
     def recover(self) -> RecoveryPerformed:
         """Repair after a crash: roll an in-flight save forward or back.
 
-        Idempotent; call on every open.  Rules:
+        Idempotent; call on every open, never alongside a save to the
+        same directory.  Rules:
 
-        * no journal — nothing was in flight; just sweep stray temp files;
+        * no journal — nothing was in flight; sweep stray temp files and
+          any generation file the committed manifest does not own (a
+          save journals before it writes, so such a file is the
+          leftover of a save killed after its journal was removed);
         * journal present, manifest already at the journaled generation —
           the commit point was passed: roll *forward* (finish cleanup);
         * journal present, manifest older/absent — the commit point was
@@ -295,6 +300,9 @@ class GenerationStore:
         manifest = self._read_manifest()
         current = None if manifest is None else int(manifest["generation"])
         if journal is None:
+            removed = self._gc_stale_files(manifest)
+            if removed:
+                notes.append(f"removed {removed} stale file(s)")
             return RecoveryPerformed(
                 action="clean", generation=current, notes=notes
             )

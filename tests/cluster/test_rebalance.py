@@ -1,9 +1,9 @@
-"""Crash-safe shard rebalance: planning, two-phase commit, kill-at-every-step.
+"""Crash-safe shard rebalance: planning, one-save commit, kill-at-every-step.
 
-The acceptance bar from the issue: a kill at *any* journal step must
-leave the cluster answering from exactly one epoch — the old one or the
-new one, never a mix — and ``recover()``/``resume()`` must always drive
-the protocol to completion afterwards.
+A kill at *any* save step must leave the cluster answering from exactly
+one epoch — the old one or the new one, never a mix — and store recovery
+plus at most one re-plan and execute must always reach the new epoch
+with no stale files left.
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ class TestExecute:
         rebalancer = Rebalancer(tmp_path, data.metric)
         plan = plan_rebalance(router, data.d_plus, seed=1)
         outcome = rebalancer.execute(router, plan)
-        assert outcome.installed
+        assert outcome.membership is router.membership
         assert outcome.epoch == plan.epoch_to
         assert router.membership.epoch == plan.epoch_to
         assert rebalancer.committed_epoch() == plan.epoch_to
-        assert rebalancer.gc_report()["clean"]
+        assert rebalancer.store.stale_files() == []
         rng = np.random.default_rng(4)
         for _ in range(8):
             query = rng.normal(size=3)
@@ -160,31 +160,6 @@ class TestExecute:
         with pytest.raises(StaleEpochError):
             rebalancer.execute(router, stale)
 
-    def test_conflicting_journal_is_rejected(self, data, tmp_path):
-        router = make_router(data)
-        save_cluster(router, tmp_path, data.d_plus)
-        rebalancer = Rebalancer(tmp_path, data.metric)
-        plan = plan_rebalance(router, data.d_plus, seed=1)
-        with pytest.raises(SimulatedCrashError):
-            rebalancer.execute(router, plan, crash_after_step=2)
-        # The old epoch still serves; a *different* rebalance attempt
-        # must refuse to trample the in-flight journal.
-        after = plan_rebalance(router, data.d_plus, seed=9, reason="drift")
-        bumped = RebalancerPlanWithEpoch(after, after.epoch_to + 1)
-        with pytest.raises(InvalidParameterError):
-            rebalancer.execute(router, bumped)
-
-
-class RebalancerPlanWithEpoch:
-    """A plan proxy whose target epoch disagrees with the journal."""
-
-    def __init__(self, plan, epoch_to):
-        self._plan = plan
-        self.epoch_to = epoch_to
-
-    def __getattr__(self, name):
-        return getattr(self._plan, name)
-
 
 class TestKillAtEveryStep:
     """The issue's acceptance criterion, exhaustively."""
@@ -197,7 +172,7 @@ class TestKillAtEveryStep:
 
         scratch = Rebalancer(tmp_path / "probe", data.metric)
         total = scratch.total_steps(N_SHARDS)
-        assert total == 2 * N_SHARDS + 7
+        assert total == N_SHARDS + 5
 
         for k in range(total + 1):
             directory = tmp_path / f"kill-{k}"
@@ -216,7 +191,7 @@ class TestKillAtEveryStep:
             # 1. After the crash the store answers from exactly ONE
             #    epoch, and it owns every object exactly once.
             recovered = Rebalancer(directory, data.metric)
-            recovered.recover()
+            recovered.store.recover()
             survivor = load_cluster(directory, data.metric)
             assert survivor.membership.epoch in (old_epoch, new_epoch), k
             assert all_cluster_oids(survivor) == list(range(N_OBJECTS)), k
@@ -225,16 +200,14 @@ class TestKillAtEveryStep:
                 assert got == truth, k
                 assert outcome.epoch == survivor.membership.epoch, k
 
-            # 2. resume()/re-execute always completes the protocol.
-            resumed = recovered.resume(router=None)
-            if resumed is None and recovered.committed_epoch() == old_epoch:
-                # Crash before the journal became durable: nothing to
-                # resume — a fresh run starts over.
-                fresh_router = load_cluster(directory, data.metric)
-                fresh_plan = plan_rebalance(fresh_router, data.d_plus, seed=1)
-                recovered.execute(fresh_router, fresh_plan)
+            # 2. A crash before the commit point left the old epoch:
+            #    re-planning from the store reaches the same target.
+            if survivor.membership.epoch == old_epoch:
+                fresh_plan = plan_rebalance(survivor, data.d_plus, seed=1)
+                assert fresh_plan.epoch_to == new_epoch, k
+                recovered.execute(survivor, fresh_plan)
             assert recovered.committed_epoch() == new_epoch, k
-            assert recovered.gc_report()["clean"], k
+            assert recovered.store.stale_files() == [], k
             final = load_cluster(directory, data.metric)
             assert final.membership.epoch == new_epoch, k
             assert all_cluster_oids(final) == list(range(N_OBJECTS)), k
@@ -251,42 +224,31 @@ class TestGC:
         plan = plan_rebalance(router, data.d_plus, seed=1)
         with pytest.raises(SimulatedCrashError):
             rebalancer.execute(router, plan, crash_after_step=crash_after_step)
-        return Rebalancer(directory, data.metric), plan
+        return rebalancer.store, plan
 
-    def test_pre_commit_crash_is_resumable_not_debris(self, data, tmp_path):
-        rebalancer, _plan = self.make_debris(data, tmp_path, 2)
-        report = rebalancer.gc_report()
-        assert report["journal"] == "resumable"
-        assert report["staging_files"]
-        assert report["orphaned_staging"] == []
-        assert report["clean"]
+    def test_pre_commit_crash_leaves_old_epoch_and_no_debris(
+        self, data, tmp_path
+    ):
+        # Step 2 = store journal + the first new shard file.
+        store, plan = self.make_debris(data, tmp_path, 2)
+        assert store.stale_files()
+        store.recover()
+        assert store.stale_files() == []
+        survivor = load_cluster(tmp_path, data.metric)
+        assert survivor.membership.epoch == plan.epoch_from
+        assert all_cluster_oids(survivor) == list(range(N_OBJECTS))
 
     def test_post_commit_crash_leaves_reclaimable_debris(
         self, data, tmp_path
     ):
-        # Step 11 = after the store journal unlink, before old-gen GC:
-        # the richest debris (stale journal + staging + old generation).
-        rebalancer, plan = self.make_debris(data, tmp_path, 11)
-        report = rebalancer.gc_report()
-        assert not report["clean"]
-        assert report["journal"] == "stale"
-        assert report["orphaned_staging"]
-        assert report["stale_generation_files"]
-        result = rebalancer.gc()
-        assert result["removed"]
-        assert rebalancer.gc_report()["clean"]
-        assert rebalancer.committed_epoch() == plan.epoch_to
-
-    def test_force_abandons_resumable_rebalance(self, data, tmp_path):
-        rebalancer, plan = self.make_debris(data, tmp_path / "a", 2)
-        kept = rebalancer.gc(force=False)
-        # Without --force the in-flight journal survives the sweep.
-        assert kept["report"]["journal"] == "resumable"
-        rebalancer2, plan = self.make_debris(data, tmp_path / "b", 2)
-        abandoned = rebalancer2.gc(force=True)
-        assert "REBALANCE.json" in abandoned["removed"]
-        assert rebalancer2.gc_report()["journal"] == "none"
-        # The committed old epoch keeps serving after the abandon.
-        survivor = load_cluster(tmp_path / "b", data.metric)
-        assert survivor.membership.epoch == plan.epoch_from
+        # The last step is the old-generation GC: the crash strands the
+        # whole superseded generation after the journal is gone.
+        last = Rebalancer(tmp_path, data.metric).total_steps(N_SHARDS) - 1
+        store, plan = self.make_debris(data, tmp_path, last)
+        assert not store.journal_path.exists()
+        assert len(store.stale_files()) == N_SHARDS + 1
+        assert store.recover().action == "clean"
+        assert store.stale_files() == []
+        survivor = load_cluster(tmp_path, data.metric)
+        assert survivor.membership.epoch == plan.epoch_to
         assert all_cluster_oids(survivor) == list(range(N_OBJECTS))

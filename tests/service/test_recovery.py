@@ -158,6 +158,22 @@ class TestCrashAtEveryStep:
         assert store.load() == NEW
         assert list(tmp_path.glob("*.g1.json")) == []
 
+    def test_recover_collects_generation_left_by_crash_before_gc(
+        self, tmp_path
+    ):
+        store = GenerationStore(tmp_path)
+        store.save(OLD)
+        total = store.total_save_steps(len(NEW))
+        with pytest.raises(SimulatedCrashError):
+            # Crash after the journal unlink, before the old-generation
+            # GC: no journal is left to say the old files are garbage.
+            store.save(NEW, crash_after_step=total - 1)
+        assert not store.journal_path.exists()
+        assert store.stale_files()
+        assert store.recover().action == "clean"
+        assert store.stale_files() == []
+        assert store.load() == NEW
+
     def test_recovery_sweeps_stray_tmp_files(self, tmp_path):
         store = GenerationStore(tmp_path)
         store.save(OLD)

@@ -244,3 +244,40 @@ class TestSelfHealingCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert "error" in payload
+
+
+class TestGcCli:
+    BUNDLE = {"tree": "tree-v", "checkpoint": "checkpoint-v"}
+
+    def crashed_store(self, directory):
+        from repro.service import GenerationStore, SimulatedCrashError
+
+        store = GenerationStore(directory)
+        store.save(self.BUNDLE)
+        last = store.total_save_steps(len(self.BUNDLE)) - 1
+        with pytest.raises(SimulatedCrashError):
+            store.save(self.BUNDLE, crash_after_step=last)
+        return store
+
+    def test_clean_store_exits_zero(self, capsys, tmp_path):
+        from repro.service import GenerationStore
+
+        GenerationStore(tmp_path).save(self.BUNDLE)
+        assert main(["gc", str(tmp_path)]) == 0
+        assert "verdict: clean" in capsys.readouterr().out
+
+    def test_crashed_store_reports_stale_files(self, capsys, tmp_path):
+        self.crashed_store(tmp_path)
+        assert main(["gc", "--json", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stale_files"] == [
+            "checkpoint.g1.json", "tree.g1.json"
+        ]
+        assert payload["clean"] is False
+
+    def test_reclaim_leaves_store_clean(self, capsys, tmp_path):
+        store = self.crashed_store(tmp_path)
+        assert main(["gc", "--reclaim", str(tmp_path)]) == 0
+        assert "verdict: clean" in capsys.readouterr().out
+        assert store.stale_files() == []
+        assert store.load() == self.BUNDLE

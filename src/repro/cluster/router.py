@@ -11,11 +11,13 @@ The router is the cluster's front door.  For every range/k-NN request it
    (:meth:`~repro.cluster.partition.ShardStats.candidate_count`) is zero
    holds no possible match, so skipping it is free — and, crucially,
    a pruned-but-dead shard costs the answer nothing;
-3. **scatters** to the surviving shards under per-shard sub-deadlines
-   carved from the request budget, with bounded retry/backoff
-   (:class:`~repro.reliability.RetryPolicy`) and a **hedged** duplicate
-   request when a shard stalls past ``hedge_delay_s`` — first good
-   answer wins, the loser is cancelled through its
+3. **scatters** to the surviving shards — the request thread starts
+   one attempt thread per shard and collects every outcome itself —
+   under per-shard sub-deadlines carved from the request budget, with
+   bounded retry/backoff (:class:`~repro.reliability.RetryPolicy`) and
+   a **hedged** duplicate request for each shard still silent
+   ``hedge_delay_s`` after the scatter began — first good answer
+   wins, the loser is cancelled through its
    :class:`~repro.context.Context`;
 4. **gathers** into a typed :class:`RouterOutcome` that always says
    exactly what happened: per-shard reports, object-weighted
@@ -55,6 +57,7 @@ make partial answers useless.
 from __future__ import annotations
 
 import dataclasses
+import math
 import queue
 import threading
 import time
@@ -74,7 +77,12 @@ from ..exceptions import (
 from ..metrics import Metric
 from ..observability import state as _obs
 from ..reliability.retry import RetryPolicy
-from ..service.service import QueryOutcome, QueryRequest, percentile
+from ..service.service import (
+    QueryOutcome,
+    QueryRequest,
+    ServiceReport,
+    run_batch,
+)
 from .partition import ShardStats, partition_objects
 from .shard import Shard
 
@@ -94,6 +102,12 @@ _QUARANTINE_REASONS = ("breaker_open", "fsck", "scrub", "manual")
 #: swap.  One retry suffices in practice (the fresh snapshot is taken
 #: after the swap); the margin covers back-to-back installs.
 MAX_EPOCH_RETRIES = 4
+
+#: A primary shard attempt that ends ``error`` or ``rejected`` is tried
+#: this many times in all, backing off from ``RETRY_BASE_DELAY_S``
+#: (jittered, capped at 50 ms and at the attempt's sub-deadline).
+RETRY_ATTEMPTS = 2
+RETRY_BASE_DELAY_S = 0.002
 
 
 class ShardQuarantine:
@@ -215,42 +229,14 @@ class RouterOutcome:
         return self.status == "ok"
 
 
-@dataclass
-class RouterReport:
-    """A batch of router outcomes summarised (mirrors ``ServiceReport``)."""
-
-    outcomes: List[RouterOutcome]
-    wall_s: float
-    workers: int
-
-    @property
-    def total(self) -> int:
-        return len(self.outcomes)
-
-    def count(self, status: str) -> int:
-        return sum(1 for o in self.outcomes if o.status == status)
-
-    @property
-    def accepted(self) -> List[RouterOutcome]:
-        return [o for o in self.outcomes if o.status == "ok"]
-
-    @property
-    def success_rate(self) -> float:
-        return len(self.accepted) / self.total if self.total else 0.0
+class RouterReport(ServiceReport[RouterOutcome]):
+    """A batch of router outcomes summarised."""
 
     @property
     def min_completeness(self) -> float:
         if not self.outcomes:
             return 0.0
         return min(o.completeness for o in self.outcomes)
-
-    @property
-    def throughput_qps(self) -> float:
-        return len(self.accepted) / self.wall_s if self.wall_s > 0 else 0.0
-
-    def latency_percentile(self, q: float, status: str = "ok") -> float:
-        values = [o.latency_s for o in self.outcomes if o.status == status]
-        return percentile(values, q)
 
     def render(self) -> str:
         lines = [
@@ -300,24 +286,11 @@ class _StaleMembershipError(MetricostError):
     request against the current membership."""
 
 
-class _AttemptCell:
-    """Latest outcome of one shard attempt, shared across retry tries."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._outcome: Optional[QueryOutcome] = None
-
-    def store(self, outcome: QueryOutcome) -> None:
-        with self._lock:
-            self._outcome = outcome
-
-    def load(self) -> Optional[QueryOutcome]:
-        with self._lock:
-            return self._outcome
-
-
 class Router:
-    """Scatter-gather over shards with pruning, hedging, and quarantine."""
+    """Scatter-gather over shards with pruning, hedging, and quarantine.
+
+    ``hedge_delay_s=math.inf`` never hedges.
+    """
 
     def __init__(
         self,
@@ -325,21 +298,18 @@ class Router:
         metric: Metric,
         hedge_delay_s: float = 0.05,
         shard_timeout_s: float = 2.0,
-        retry_attempts: int = 2,
-        retry_base_delay_s: float = 0.002,
         min_completeness: float = 0.0,
         prune: bool = True,
-        hedging: bool = True,
         seed: int = 0,
         epoch: int = 1,
     ):
         if len(shards) == 0:
             raise InvalidParameterError("router needs at least one shard")
-        if hedge_delay_s < 0:
+        if not (hedge_delay_s >= 0):
             raise InvalidParameterError(
                 f"hedge_delay_s must be >= 0, got {hedge_delay_s}"
             )
-        if shard_timeout_s <= 0:
+        if not (shard_timeout_s > 0):
             raise InvalidParameterError(
                 f"shard_timeout_s must be > 0, got {shard_timeout_s}"
             )
@@ -350,11 +320,8 @@ class Router:
         self.metric = metric
         self.hedge_delay_s = hedge_delay_s
         self.shard_timeout_s = shard_timeout_s
-        self.retry_attempts = retry_attempts
-        self.retry_base_delay_s = retry_base_delay_s
         self.min_completeness = min_completeness
         self.prune = prune
-        self.hedging = hedging
         self.seed = seed
         self.quarantine = ShardQuarantine()
         self._lock = threading.Lock()
@@ -573,179 +540,164 @@ class Router:
     def _attempt(
         self,
         shard: Shard,
+        label: str,
         request: QueryRequest,
         ctx: Context,
-        cell: _AttemptCell,
-        retry: bool,
-    ) -> QueryOutcome:
-        """One shard attempt; transient shard failures raise so the
-        retry policy can re-drive them."""
+        results: "queue.Queue[Tuple[int, str, QueryOutcome]]",
+    ) -> None:
+        """Run one shard attempt on this thread and post its terminal
+        outcome.  A primary retries transient shard failures under a
+        bounded policy; a hedge gets exactly one try."""
+        began = time.perf_counter()
+        last: Optional[QueryOutcome] = None
 
         def once() -> QueryOutcome:
-            outcome = shard.submit(request, context=ctx)
-            cell.store(outcome)
-            if outcome.status == "stale_epoch":
-                # Not a shard fault: the view was superseded.  Retrying
-                # the same fenced shard cannot help — surface the stale
-                # outcome so the router retries the whole request.
-                return outcome
-            if outcome.status in ("error", "rejected"):
+            nonlocal last
+            last = shard.submit(request, context=ctx)
+            if last.status in ("error", "rejected"):
                 # Surface as a retryable fault: overload sheds and
                 # backend errors deserve one bounded, jittered re-try
-                # before the shard is written off for this query.
-                raise _ShardAttemptError(outcome)
-            return outcome
+                # before the shard is written off for this query.  A
+                # ``stale_epoch`` view is returned as is: retrying a
+                # fenced shard cannot help, the router retries the
+                # whole request instead.
+                raise _ShardAttemptError(last)
+            return last
 
-        if not retry:
-            return once()
-        policy = RetryPolicy(
-            max_attempts=self.retry_attempts,
-            base_delay_s=self.retry_base_delay_s,
-            max_delay_s=0.05,
-            retry_on=(_ShardAttemptError,),
-            seed=self.seed + shard.shard_id,
-        )
-        return policy.call(once, deadline=ctx)
+        try:
+            outcome: QueryOutcome = (
+                once()
+                if label == "hedge"
+                else RetryPolicy(
+                    max_attempts=RETRY_ATTEMPTS,
+                    base_delay_s=RETRY_BASE_DELAY_S,
+                    max_delay_s=0.05,
+                    retry_on=(_ShardAttemptError,),
+                    seed=self.seed + shard.shard_id,
+                ).call(once, deadline=ctx)
+            )
+        except (
+            _ShardAttemptError,
+            RetryExhaustedError,
+            DeadlineExceededError,
+            OperationCancelledError,
+        ) as exc:
+            outcome = last if last is not None else QueryOutcome(
+                request=request,
+                status=(
+                    "cancelled"
+                    if isinstance(exc, OperationCancelledError)
+                    else "deadline"
+                    if isinstance(exc, DeadlineExceededError)
+                    else "error"
+                ),
+                latency_s=time.perf_counter() - began,
+                error=str(exc),
+            )
+        results.put((shard.shard_id, label, outcome))
 
-    def _query_shard(
+    def _scatter(
         self,
-        shard: Shard,
+        targets: Sequence[Shard],
         request: QueryRequest,
-        report: ShardReport,
+        reports: Sequence[ShardReport],
         budget: Optional[Any],
     ) -> None:
-        """Drive one shard: primary attempt, hedge on stall, first good
-        answer wins, the loser is cancelled via its context."""
+        """Drive every target shard from this thread: one primary
+        attempt thread each, a hedge for each shard still silent
+        ``hedge_delay_s`` after the scatter began, first good answer
+        per shard wins and its other attempt is cancelled via its
+        context.  Fills in each target's :class:`ShardReport`."""
         start = time.perf_counter()
-        results: "queue.Queue[Tuple[str, QueryOutcome]]" = queue.Queue()
-        primary_ctx = self._sub_context(budget)
-        hedge_ctx: Optional[Context] = None
+        results: "queue.Queue[Tuple[int, str, QueryOutcome]]" = queue.Queue()
+        by_id = {report.shard_id: report for report in reports}
+        contexts: Dict[int, List[Context]] = {}
+        pending: Dict[int, int] = {}
+        winners: Dict[int, Tuple[str, QueryOutcome]] = {}
         threads: List[threading.Thread] = []
 
-        def run_attempt(
-            label: str, attempt_request: QueryRequest, ctx: Context,
-            retry: bool,
-        ) -> None:
-            cell = _AttemptCell()
-            try:
-                outcome = self._attempt(
-                    shard, attempt_request, ctx, cell, retry
-                )
-            except (
-                _ShardAttemptError,
-                RetryExhaustedError,
-                DeadlineExceededError,
-                OperationCancelledError,
-            ) as exc:
-                last = cell.load()
-                if last is None:
-                    status = (
-                        "cancelled"
-                        if isinstance(exc, OperationCancelledError)
-                        else "deadline"
-                        if isinstance(exc, DeadlineExceededError)
-                        else "error"
-                    )
-                    last = QueryOutcome(
-                        request=attempt_request,
-                        status=status,
-                        latency_s=time.perf_counter() - start,
-                        error=str(exc),
-                    )
-                results.put((label, last))
-                return
-            results.put((label, outcome))
+        def launch(shard: Shard, label: str) -> None:
+            ctx = self._sub_context(budget)
+            attempt_request = (
+                # Marked hedged so chaos/fault layers can tell the
+                # duplicate from the primary it races.
+                dataclasses.replace(request, hedged=True)
+                if label == "hedge"
+                else request
+            )
+            contexts.setdefault(shard.shard_id, []).append(ctx)
+            pending[shard.shard_id] = pending.get(shard.shard_id, 0) + 1
+            thread = threading.Thread(
+                target=self._attempt,
+                args=(shard, label, attempt_request, ctx, results),
+                name=f"route-{shard.shard_id}-{label}",
+            )
+            threads.append(thread)
+            thread.start()
 
-        primary = threading.Thread(
-            target=run_attempt,
-            args=("primary", request, primary_ctx, True),
-            name=f"route-{shard.shard_id}-primary",
+        for shard in targets:
+            launch(shard, "primary")
+        hedge_at = (
+            start + self.hedge_delay_s
+            if math.isfinite(self.hedge_delay_s)
+            else None
         )
-        threads.append(primary)
-        primary.start()
-
-        winner: Optional[Tuple[str, QueryOutcome]] = None
-        pending = 1
-        hedge_window = self.hedge_delay_s if self.hedging else None
-        while pending > 0:
+        while any(pending.values()):
             try:
-                timeout = (
-                    hedge_window
-                    if hedge_window is not None
-                    else self.shard_timeout_s + 0.5
-                )
-                label, outcome = results.get(timeout=timeout)
-            except queue.Empty:
-                if hedge_window is not None and hedge_ctx is None:
-                    # The primary stalled past the hedge delay: race a
-                    # duplicate, marked hedged so chaos/fault layers can
-                    # distinguish it, on its own cancellable context.
-                    hedge_ctx = self._sub_context(budget)
-                    hedge_request = dataclasses.replace(request, hedged=True)
-                    hedge = threading.Thread(
-                        target=run_attempt,
-                        args=("hedge", hedge_request, hedge_ctx, False),
-                        name=f"route-{shard.shard_id}-hedge",
+                shard_id, label, outcome = results.get(
+                    timeout=(
+                        None
+                        if hedge_at is None
+                        else max(0.0, hedge_at - time.perf_counter())
                     )
-                    threads.append(hedge)
-                    hedge.start()
-                    report.hedged = True
-                    pending += 1
-                hedge_window = None
+                )
+            except queue.Empty:
+                # The hedge delay passed: race a duplicate for every
+                # shard still silent.  A shard whose primary already
+                # failed gets none — it answered (badly) quickly.
+                hedge_at = None
+                for shard in targets:
+                    if pending[shard.shard_id]:
+                        launch(shard, "hedge")
+                        by_id[shard.shard_id].hedged = True
                 continue
-            pending -= 1
+            pending[shard_id] -= 1
+            report = by_id[shard_id]
             report.attempts.append((label, outcome.status))
-            if outcome.status == "ok" and winner is None:
-                winner = (label, outcome)
+            report.latency_s = time.perf_counter() - start
+            if outcome.status == "ok" and shard_id not in winners:
+                winners[shard_id] = (label, outcome)
                 # First good answer wins: stop the other attempt.
-                if label == "hedge":
-                    primary_ctx.cancel()
-                elif hedge_ctx is not None:
-                    hedge_ctx.cancel()
-                hedge_window = None
-            elif winner is None and pending == 0 and (
-                hedge_window is not None
-            ):
-                # Primary failed before the hedge even launched — no
-                # point hedging a shard that answered (badly) quickly.
-                break
+                for ctx in contexts[shard_id]:
+                    ctx.cancel()
         # Attempts are bounded by their sub-deadlines, so joins terminate.
         for thread in threads:
             thread.join()
-        # Record any stragglers' terminal statuses for the attempt log.
-        while True:
-            try:
-                label, outcome = results.get_nowait()
-            except queue.Empty:
-                break
-            report.attempts.append((label, outcome.status))
-            if outcome.status == "ok" and winner is None:
-                winner = (label, outcome)
-        report.latency_s = time.perf_counter() - start
-        if winner is None:
+        for shard in targets:
+            report = by_id[shard.shard_id]
+            if shard.shard_id in winners:
+                label, outcome = winners[shard.shard_id]
+                report.status = "ok"
+                report.hedge_won = label == "hedge"
+                report.completeness = outcome.completeness
+                report.items = list(outcome.items or [])
+                report.dists = outcome.dists
+                continue
             report.status = "failed"
             statuses = {status for _label, status in report.attempts}
             report.error = "; ".join(
                 f"{label}={status}" for label, status in report.attempts
-            ) or "no attempt completed"
+            )
             if "stale_epoch" in statuses:
                 # The shard view was fenced mid-flight: the whole
                 # request must be retried on the fresh membership, and
                 # nothing here is the shard's fault — no quarantine.
                 report.status = "stale"
-                return
-            if "circuit_open" in statuses:
+            elif "circuit_open" in statuses:
                 # Failover: the shard's own breaker says it is sick —
                 # quarantine it so the next queries skip it instantly
                 # instead of re-discovering the open circuit.
                 self.quarantine.add(shard.shard_id, "breaker_open")
-            return
-        label, outcome = winner
-        report.status = "ok"
-        report.hedge_won = label == "hedge"
-        report.completeness = outcome.completeness
-        report.items = list(outcome.items or [])
-        report.dists = outcome.dists
 
     # -- gather ------------------------------------------------------------
 
@@ -937,20 +889,7 @@ class Router:
         reports, targets, _radius = self._classify(
             request, pivot_dists, membership
         )
-        by_id = {report.shard_id: report for report in reports}
-
-        drivers = [
-            threading.Thread(
-                target=self._query_shard,
-                args=(shard, request, by_id[shard.shard_id], budget),
-                name=f"route-{shard.shard_id}",
-            )
-            for shard in targets
-        ]
-        for driver in drivers:
-            driver.start()
-        for driver in drivers:
-            driver.join()
+        self._scatter(targets, request, reports, budget)
 
         stale = [r.shard_id for r in reports if r.status == "stale"]
         if stale:
@@ -1010,63 +949,12 @@ class Router:
         workers: int = 4,
         deadline_ms: Optional[float] = None,
     ) -> RouterReport:
-        """Drive a batch through ``workers`` threads; summarise.
-
-        Each request gets its own deadline of ``deadline_ms`` measured
-        from pickup (mirrors :meth:`QueryService.run`).
-        """
-        if workers < 1:
-            raise InvalidParameterError(
-                f"workers must be >= 1, got {workers}"
-            )
-        pending: "queue.Queue[Optional[int]]" = queue.Queue()
-        for index in range(len(requests)):
-            pending.put(index)
-        for _ in range(workers):
-            pending.put(None)
-        outcomes: List[Optional[RouterOutcome]] = [None] * len(requests)
-        worker_errors: List[BaseException] = []
-
-        def work() -> None:
-            while True:
-                index = pending.get()
-                if index is None:
-                    return
-                deadline = (
-                    Deadline.after_ms(deadline_ms)
-                    if deadline_ms is not None
-                    else None
-                )
-                try:
-                    outcomes[index] = self.execute(
-                        requests[index], deadline=deadline
-                    )
-                # metalint: ignore[cancellation-hygiene] — execute()
-                # already converts cancellation into an outcome, so
-                # anything caught here is an unexpected worker crash;
-                # it is re-raised on the caller thread after join().
-                except BaseException as exc:  # noqa: BLE001 — surfaced below
-                    worker_errors.append(exc)
-                    return
-
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(target=work, name=f"router-worker-{i}")
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - started
-        if worker_errors:
-            raise worker_errors[0]
-        done = [o for o in outcomes if o is not None]
-        if len(done) != len(requests):
-            raise MetricostError(
-                f"router pool lost {len(requests) - len(done)} request(s)"
-            )
-        return RouterReport(outcomes=done, wall_s=wall_s, workers=workers)
+        """Drive a batch through ``workers`` threads (see
+        :func:`~repro.service.service.run_batch`); summarise."""
+        outcomes, wall_s = run_batch(
+            self.execute, requests, workers, deadline_ms
+        )
+        return RouterReport(outcomes=outcomes, wall_s=wall_s, workers=workers)
 
     # -- health ------------------------------------------------------------
 
@@ -1149,7 +1037,6 @@ def build_cluster(
     shard_timeout_s: float = 2.0,
     min_completeness: float = 0.0,
     prune: bool = True,
-    hedging: bool = True,
     max_concurrent: int = 8,
     max_queue: int = 32,
 ) -> Router:
@@ -1186,6 +1073,5 @@ def build_cluster(
         shard_timeout_s=shard_timeout_s,
         min_completeness=min_completeness,
         prune=prune,
-        hedging=hedging,
         seed=seed,
     )

@@ -124,6 +124,13 @@ class Context:
         """A context whose deadline is ``seconds`` from now."""
         return cls(Deadline.after(seconds, clock=clock))
 
+    def with_deadline(self, deadline: Deadline) -> "Context":
+        """A context expiring at ``deadline`` that shares this one's
+        cancellation flag; this context is left untouched."""
+        child = Context(deadline)
+        child._cancelled = self._cancelled
+        return child
+
     def cancel(self) -> None:
         """Request cooperative cancellation (idempotent, thread-safe)."""
         self._cancelled.set()

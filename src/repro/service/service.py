@@ -9,10 +9,10 @@ terminal condition — success, shed, open circuit, blown deadline,
 degraded execution, hard failure — is a :class:`QueryOutcome` with a
 ``status``, never a hang and never an unhandled worker exception.
 
-:meth:`QueryService.run` drives a batch through ``workers`` threads and
-summarises into a :class:`ServiceReport` (throughput, p50/p99 of the
-accepted, shed counts), which is what ``python -m repro serve-bench``
-prints.
+:meth:`QueryService.run` drives a batch through ``workers`` threads
+(:func:`run_batch`, shared with the cluster router) and summarises into
+a :class:`ServiceReport` (throughput, p50/p99 of the accepted, shed
+counts), which is what ``python -m repro serve-bench`` prints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,18 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..context import Context, Deadline
 from ..exceptions import (
@@ -45,6 +56,7 @@ __all__ = [
     "OptimizerBackend",
     "QueryService",
     "percentile",
+    "run_batch",
 ]
 
 
@@ -130,11 +142,22 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
+class _Outcome(Protocol):
+    """What a batch summary reads off each outcome."""
+
+    status: str
+    latency_s: float
+    degraded: bool
+
+
+OutcomeT = TypeVar("OutcomeT", bound=_Outcome)
+
+
 @dataclass
-class ServiceReport:
+class ServiceReport(Generic[OutcomeT]):
     """A batch run summarised: counts, latency percentiles, throughput."""
 
-    outcomes: List[QueryOutcome]
+    outcomes: List[OutcomeT]
     wall_s: float
     workers: int
 
@@ -146,11 +169,15 @@ class ServiceReport:
         return sum(1 for o in self.outcomes if o.status == status)
 
     @property
-    def accepted(self) -> List[QueryOutcome]:
+    def accepted(self) -> List[OutcomeT]:
         return [o for o in self.outcomes if o.status == "ok"]
 
     @property
-    def degraded(self) -> List[QueryOutcome]:
+    def success_rate(self) -> float:
+        return len(self.accepted) / self.total if self.total else 0.0
+
+    @property
+    def degraded(self) -> List[OutcomeT]:
         """Accepted answers that were computed around index damage."""
         return [o for o in self.outcomes if o.status == "ok" and o.degraded]
 
@@ -447,7 +474,9 @@ class QueryService:
             deadline = Deadline.after(self.default_deadline_s)
         budget: Optional[Any] = context if context is not None else deadline
         if context is not None and context.deadline is None and deadline is not None:
-            context.deadline = deadline
+            # Bound this call only: the caller's context may be a batch
+            # cancellation token shared by many requests.
+            budget = context.with_deadline(deadline)
 
         def finish(
             status: str, error: Optional[str] = None
@@ -499,62 +528,74 @@ class QueryService:
         requests: Sequence[QueryRequest],
         workers: int = 4,
         deadline_ms: Optional[float] = None,
-    ) -> ServiceReport:
-        """Drive a batch through ``workers`` threads; summarise.
+    ) -> ServiceReport[QueryOutcome]:
+        """Drive a batch through ``workers`` threads (see
+        :func:`run_batch`); summarise."""
+        outcomes, wall_s = run_batch(
+            self.submit, requests, workers, deadline_ms
+        )
+        return ServiceReport(outcomes=outcomes, wall_s=wall_s, workers=workers)
 
-        Each request gets its *own* deadline of ``deadline_ms`` (when
-        set), measured from the moment a worker picks it up.  Outcomes
-        come back in request order.
-        """
-        if workers < 1:
-            raise InvalidParameterError(
-                f"workers must be >= 1, got {workers}"
+
+def run_batch(
+    call: Callable[..., OutcomeT],
+    requests: Sequence[QueryRequest],
+    workers: int,
+    deadline_ms: Optional[float],
+) -> Tuple[List[OutcomeT], float]:
+    """Run ``call(request, deadline=...)`` over a batch on ``workers``
+    threads; return the outcomes in request order and the wall time.
+
+    Each request gets its *own* deadline of ``deadline_ms`` (when set),
+    measured from the moment a worker picks it up.  ``call`` must turn
+    every per-request condition into an outcome; anything it raises is
+    re-raised here after the pool drains.
+    """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    pending: "queue.Queue[Optional[int]]" = queue.Queue()
+    for index in range(len(requests)):
+        pending.put(index)
+    for _ in range(workers):
+        pending.put(None)  # one poison pill per worker
+    outcomes: List[Optional[OutcomeT]] = [None] * len(requests)
+    worker_errors: List[BaseException] = []
+
+    def work() -> None:
+        while True:
+            index = pending.get()
+            if index is None:
+                return
+            deadline = (
+                Deadline.after_ms(deadline_ms)
+                if deadline_ms is not None
+                else None
             )
-        pending: "queue.Queue[Optional[int]]" = queue.Queue()
-        for index in range(len(requests)):
-            pending.put(index)
-        for _ in range(workers):
-            pending.put(None)  # one poison pill per worker
-        outcomes: List[Optional[QueryOutcome]] = [None] * len(requests)
-        worker_errors: List[BaseException] = []
+            try:
+                outcomes[index] = call(requests[index], deadline=deadline)
+            # metalint: ignore[cancellation-hygiene] — call() already
+            # converts cancellation into an outcome, so anything caught
+            # here is an unexpected worker crash; it is re-raised on the
+            # caller thread after join().
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                worker_errors.append(exc)
+                return
 
-        def work() -> None:
-            while True:
-                index = pending.get()
-                if index is None:
-                    return
-                deadline = (
-                    Deadline.after_ms(deadline_ms)
-                    if deadline_ms is not None
-                    else None
-                )
-                try:
-                    outcomes[index] = self.submit(
-                        requests[index], deadline=deadline
-                    )
-                # metalint: ignore[cancellation-hygiene] — submit()
-                # already converts cancellation into an outcome, so
-                # anything caught here is an unexpected worker crash;
-                # it is re-raised on the caller thread after join().
-                except BaseException as exc:  # noqa: BLE001 — surfaced below
-                    worker_errors.append(exc)
-                    return
-
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(target=work, name=f"query-worker-{i}")
-            for i in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - started
-        if worker_errors:
-            raise worker_errors[0]
-        done = [o for o in outcomes if o is not None]
-        if len(done) != len(requests):
-            raise MetricostError(
-                f"worker pool lost {len(requests) - len(done)} request(s)"
-            )
-        return ServiceReport(outcomes=done, wall_s=wall_s, workers=workers)
+    started = time.perf_counter()
+    threads = [
+        threading.Thread(target=work, name=f"query-worker-{i}")
+        for i in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    wall_s = time.perf_counter() - started
+    if worker_errors:
+        raise worker_errors[0]
+    done = [o for o in outcomes if o is not None]
+    if len(done) != len(requests):
+        raise MetricostError(
+            f"worker pool lost {len(requests) - len(done)} request(s)"
+        )
+    return done, wall_s

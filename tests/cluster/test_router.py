@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -118,7 +121,8 @@ def test_pruning_fires_and_never_drops_matches(router, data):
 def test_prune_toggle_answers_identically(data):
     objects = list(data.points)
     kwargs = dict(
-        n_shards=N_SHARDS, d_plus=data.d_plus, seed=41, hedging=False
+        n_shards=N_SHARDS, d_plus=data.d_plus, seed=41,
+        hedge_delay_s=math.inf,
     )
     pruning = build_cluster(objects, data.metric, prune=True, **kwargs)
     exhaustive = build_cluster(objects, data.metric, prune=False, **kwargs)
@@ -191,7 +195,7 @@ def test_object_weighted_completeness_pinned_at_three_quarters(data):
                 seed=i,
             )
         )
-    router = Router(shards, data.metric, hedging=False)
+    router = Router(shards, data.metric, hedge_delay_s=math.inf)
     router.quarantine.add(1, "manual")
     for query in queries(data, 5, seed=11):
         outcome = router.execute(
@@ -214,7 +218,7 @@ def test_min_completeness_rung_falls_back_to_scan(data):
         d_plus=data.d_plus,
         seed=41,
         min_completeness=1.0,
-        hedging=False,
+        hedge_delay_s=math.inf,
     )
     # Quarantine a healthy shard: scatter skips it, completeness drops
     # below the rung, and the fallback linear scan restores the answer.
@@ -266,8 +270,64 @@ def test_router_parameter_validation(router, data):
     with pytest.raises(InvalidParameterError):
         Router(router.shards, data.metric, hedge_delay_s=-1.0)
     with pytest.raises(InvalidParameterError):
+        Router(router.shards, data.metric, hedge_delay_s=math.nan)
+    with pytest.raises(InvalidParameterError):
         Router(router.shards, data.metric, shard_timeout_s=0.0)
+    with pytest.raises(InvalidParameterError):
+        Router(router.shards, data.metric, shard_timeout_s=math.nan)
     with pytest.raises(InvalidParameterError):
         Router(router.shards, data.metric, min_completeness=1.5)
     with pytest.raises(InvalidParameterError):
         router.quarantine.add(0, "bogus-reason")
+
+
+def test_scatter_starts_one_thread_per_scattered_shard(data, monkeypatch):
+    router = build_cluster(
+        list(data.points),
+        data.metric,
+        n_shards=N_SHARDS,
+        d_plus=data.d_plus,
+        seed=41,
+        hedge_delay_s=math.inf,
+    )
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    outcome = router.execute(
+        QueryRequest("knn", queries(data, 1, seed=16)[0], k=12)
+    )
+    assert outcome.ok
+    scattered = [
+        r for r in outcome.shard_reports
+        if r.status not in ("pruned", "quarantined")
+    ]
+    assert scattered
+    assert len(started) == len(scattered)
+
+
+def test_infinite_hedge_delay_never_hedges_a_slow_shard(data):
+    router = build_cluster(
+        list(data.points),
+        data.metric,
+        n_shards=N_SHARDS,
+        d_plus=data.d_plus,
+        seed=41,
+        hedge_delay_s=math.inf,
+        shard_timeout_s=1.0,
+    )
+    victim = router.shards[0]
+    ShardFaultInjector(seed=3).slow(victim, 0.1)
+    outcome = router.execute(
+        QueryRequest("knn", queries(data, 1, seed=17)[0], k=N_OBJECTS)
+    )
+    assert outcome.ok and outcome.completeness == 1.0
+    report = outcome.shard_reports[victim.shard_id]
+    assert report.status == "ok"
+    assert report.hedged is False
+    assert report.attempts == [("primary", "ok")]
+    assert outcome.shards_hedged == 0

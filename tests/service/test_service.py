@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,24 @@ class TestSubmit:
             MTreeBackend(tree), default_deadline_s=60.0
         )
         assert service.submit(make_requests(data, 1)[0]).ok
+
+    def test_default_deadline_leaves_shared_context_untouched(
+        self, served_tree
+    ):
+        # A context shared across requests as a cancellation token must
+        # not inherit the first request's default deadline.
+        data, tree = served_tree
+        service = QueryService(MTreeBackend(tree), default_deadline_s=0.05)
+        context = Context()
+        request = make_requests(data, 1)[0]
+        assert service.submit(request, context=context).ok
+        time.sleep(0.1)
+        assert service.submit(request, context=context).ok
+        assert context.deadline is None
+        # The per-call budget still shares the caller's cancellation.
+        context.cancel()
+        outcome = service.submit(request, context=context)
+        assert outcome.status == "cancelled"
 
 
 class TestRun:

@@ -15,6 +15,7 @@ model's ``dists(...)`` estimates.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Sequence
 
@@ -23,6 +24,12 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 
 __all__ = ["Metric", "CountingMetric", "FunctionMetric"]
+
+
+def _check_bound(bound: float) -> None:
+    """Reject a negative or NaN cutoff (NaN passes a ``bound < 0`` test)."""
+    if math.isnan(bound) or bound < 0:
+        raise InvalidParameterError(f"bound must be >= 0, got {bound}")
 
 
 class Metric(ABC):
@@ -59,6 +66,19 @@ class Metric(ABC):
         """Return the vector of distances from ``x`` to each of ``ys``."""
         return self.pairwise([x], ys)[0]
 
+    def encode(self, ys: Sequence[Any]) -> Sequence[Any]:
+        """Return ``ys`` in this metric's kernel input form (a *block*).
+
+        The contract: ``one_to_many(x, encode(ys))`` and
+        ``one_to_many_bounded(x, encode(ys), b)`` equal the same calls on
+        ``ys``, and ``len(encode(ys)) == len(ys)``.  A caller that asks
+        many queries of the same objects (an M-tree node) encodes them
+        once and passes the block instead.  The default is a plain list;
+        :class:`~repro.metrics.minkowski.MinkowskiMetric` returns a
+        read-only float64 matrix.
+        """
+        return list(ys)
+
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         """Return element-wise distances between aligned sequences.
 
@@ -87,8 +107,10 @@ class Metric(ABC):
         and masks; metrics with an early-exit bounded kernel (see
         :class:`~repro.metrics.strings.EditDistance`) override it.  Each
         element still counts as one distance computation for accounting
-        purposes regardless of early exit.
+        purposes regardless of early exit.  A negative or NaN ``bound``
+        raises :class:`~repro.exceptions.InvalidParameterError`.
         """
+        _check_bound(bound)
         exact = self.one_to_many(x, ys)
         return np.where(exact <= bound, exact, np.inf)
 
@@ -136,6 +158,10 @@ class CountingMetric(Metric):
         self.calls += len(ys)
         return self.inner.one_to_many(x, ys)
 
+    def encode(self, ys: Sequence[Any]) -> Sequence[Any]:
+        """The inner metric's block; encoding computes no distance."""
+        return self.inner.encode(ys)
+
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         self.calls += len(xs)
         return self.inner.rowwise(xs, ys)
@@ -143,6 +169,7 @@ class CountingMetric(Metric):
     def one_to_many_bounded(
         self, x: Any, ys: Sequence[Any], bound: float
     ) -> np.ndarray:
+        _check_bound(bound)
         self.calls += len(ys)
         return self.inner.one_to_many_bounded(x, ys, bound)
 

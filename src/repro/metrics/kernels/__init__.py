@@ -132,6 +132,8 @@ def minkowski_pairwise(
     """``(len(xs), len(ys))`` matrix of L_p distances."""
     x = as_f64_matrix(xs)
     y = as_f64_matrix(ys)
+    if not (x.shape[0] and y.shape[0]):
+        return np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
     _check_dims(x, y)
     backend = active_backend()
     if backend == "native" and native is not None:
@@ -159,6 +161,8 @@ def minkowski_rowwise(
     x = as_f64_matrix(xs)
     y = as_f64_matrix(ys)
     _check_rowwise(x.shape[0], y.shape[0])
+    if not x.shape[0]:
+        return np.empty(0, dtype=np.float64)
     _check_dims(x, y)
     backend = active_backend()
     if backend == "native" and native is not None:

@@ -35,10 +35,15 @@ __all__ = [
 
 
 def as_f64_matrix(xs: Sequence[Any]) -> np.ndarray:
-    """A C-contiguous ``(n, d)`` float64 matrix; 1-D input becomes one row."""
+    """A C-contiguous ``(n, d)`` float64 matrix; 1-D input becomes one row.
+
+    An empty sequence has no rows: it becomes ``(0, 0)``.  A read-only
+    C-contiguous float64 matrix (a :meth:`MinkowskiMetric.encode` block)
+    is returned as is, without a copy.
+    """
     arr = np.ascontiguousarray(np.asarray(xs, dtype=np.float64))
     if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
+        arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
     if arr.ndim != 2:
         raise InvalidParameterError(
             f"expected a vector or a matrix of vectors, got ndim={arr.ndim}"

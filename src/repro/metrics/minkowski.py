@@ -18,6 +18,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from . import kernels
 from .base import Metric
+from .kernels.encode import as_f64_matrix
 
 __all__ = [
     "MinkowskiMetric",
@@ -59,6 +60,20 @@ class MinkowskiMetric(Metric):
 
     def one_to_many(self, x, ys: Sequence) -> np.ndarray:
         return kernels.minkowski_one_to_many(x, ys, self.p)
+
+    def encode(self, ys: Sequence) -> np.ndarray:
+        """``ys`` as a read-only C-contiguous ``(n, d)`` float64 matrix.
+
+        The kernels take such a matrix as it is, so a caller that keeps
+        the block skips the per-call repacking of a list of vectors.
+        The block never aliases ``ys``: freezing it cannot affect the
+        caller's array, and later writes to ``ys`` cannot reach it.
+        """
+        block = as_f64_matrix(ys)
+        if block is ys or block.base is not None:  # a view of ys's buffer
+            block = block.copy()
+        block.flags.writeable = False
+        return block
 
     def rowwise(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         return kernels.minkowski_rowwise(xs, ys, self.p)

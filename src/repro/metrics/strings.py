@@ -13,14 +13,13 @@ exceeds a threshold — handy inside range queries with a small radius.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
 from . import kernels
-from .base import Metric
+from .base import Metric, _check_bound
 
 __all__ = ["EditDistance", "WeightedEditDistance", "edit_distance"]
 
@@ -48,12 +47,6 @@ def edit_distance(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
-
-
-def _check_bound(bound: float) -> None:
-    """Reject a negative or NaN cutoff (NaN passes a ``bound < 0`` test)."""
-    if math.isnan(bound) or bound < 0:
-        raise InvalidParameterError(f"bound must be >= 0, got {bound}")
 
 
 class EditDistance(Metric):

@@ -189,14 +189,14 @@ def bulk_load(
         medoid_pos, dists = _medoid(members, metric)
         routing_obj = members[medoid_pos]
         node = Node(is_leaf=True)
-        for pos, obj_index in enumerate(group):
-            node.add(
-                LeafEntry(
-                    objects[obj_index],
-                    oid_list[obj_index],
-                    dist_to_parent=float(dists[pos]),
-                )
+        node.replace([
+            LeafEntry(
+                objects[obj_index],
+                oid_list[obj_index],
+                dist_to_parent=float(dists[pos]),
             )
+            for pos, obj_index in enumerate(group)
+        ])
         level.append((routing_obj, float(dists.max()), node))
 
     # ---- upper levels --------------------------------------------------
@@ -219,17 +219,19 @@ def bulk_load(
             members = [routing_objs[i] for i in group]
             medoid_pos, dists = _medoid(members, metric)
             parent_obj = members[medoid_pos]
-            node = Node(is_leaf=False)
+            entries = []
             radius = 0.0
             for pos, child_pos in enumerate(group):
                 child_obj, child_radius, child_node = level[child_pos]
                 dist = float(dists[pos])
-                node.add(
+                entries.append(
                     RoutingEntry(
                         child_obj, child_radius, child_node, dist_to_parent=dist
                     )
                 )
                 radius = max(radius, dist + child_radius)
+            node = Node(is_leaf=False)
+            node.replace(entries)
             next_level.append((parent_obj, radius, node))
         level = next_level
 

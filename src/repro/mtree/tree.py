@@ -197,6 +197,16 @@ class KNNResult:
         return len(self.neighbors)
 
 
+def _same_block(cached: Sequence[Any], fresh: Sequence[Any]) -> bool:
+    """Whether two encodings of a node's objects agree: equal arrays, or
+    sequences holding the very same objects."""
+    if isinstance(cached, np.ndarray) or isinstance(fresh, np.ndarray):
+        return bool(np.array_equal(cached, fresh))
+    return len(cached) == len(fresh) and all(
+        a is b for a, b in zip(cached, fresh)
+    )
+
+
 class MTree:
     """A dynamic, paged M-tree over a generic metric space."""
 
@@ -365,8 +375,8 @@ class MTree:
             dists = [self.metric.distance(obj, entries[0].obj)]
         else:
             dists = self.metric.one_to_many(
-                obj, [entry.obj for entry in entries]
-            )
+                obj, node.block(self.metric)
+            ).tolist()
         reg = _obs.registry
         if reg is not None:
             reg.inc("mtree.dists_computed", len(entries), kind="insert")
@@ -374,7 +384,6 @@ class MTree:
         best_enlarging: Optional[Tuple[float, float, RoutingEntry]] = None
         for entry, dist in zip(entries, dists):
             assert isinstance(entry, RoutingEntry)
-            dist = float(dist)
             if dist <= entry.radius:
                 if best_covering is None or dist < best_covering[0]:
                     best_covering = (dist, entry)
@@ -398,9 +407,9 @@ class MTree:
     ) -> None:
         """Replace a split child's routing entry with the two new ones."""
         first_child = Node(is_leaf=self._entries_are_leaf(split.first_entries))
-        first_child.entries = split.first_entries
+        first_child.replace(split.first_entries)
         second_child = Node(is_leaf=first_child.is_leaf)
-        second_child.entries = split.second_entries
+        second_child.replace(split.second_entries)
         self._refresh_parent_distances(first_child, split.first_obj)
         self._refresh_parent_distances(second_child, split.second_obj)
 
@@ -409,7 +418,7 @@ class MTree:
                 return 0.0
             return self.metric.distance(routing_obj, parent_obj)
 
-        node.entries.remove(old_entry)
+        node.remove(old_entry)
         node.add(
             RoutingEntry(
                 split.first_obj,
@@ -439,8 +448,8 @@ class MTree:
             dists = [self.metric.distance(entries[0].obj, routing_obj)]
         else:
             dists = self.metric.one_to_many(
-                routing_obj, [entry.obj for entry in entries]
-            )
+                routing_obj, node.block(self.metric)
+            ).tolist()
         reg = _obs.registry
         if reg is not None:
             reg.inc("mtree.dists_computed", len(entries), kind="insert")
@@ -450,9 +459,9 @@ class MTree:
     def _grow_root(self, split: SplitOutcome) -> None:
         """Root split: the tree grows one level."""
         first_child = Node(is_leaf=self._entries_are_leaf(split.first_entries))
-        first_child.entries = split.first_entries
+        first_child.replace(split.first_entries)
         second_child = Node(is_leaf=first_child.is_leaf)
-        second_child.entries = split.second_entries
+        second_child.replace(split.second_entries)
         self._refresh_parent_distances(first_child, split.first_obj)
         self._refresh_parent_distances(second_child, split.second_obj)
         new_root = Node(is_leaf=False)
@@ -482,29 +491,30 @@ class MTree:
         tree), which keeps a clone far cheaper than re-inserting: no
         distance is computed.
 
+        Each copied node shares its original's cached kernel block
+        (:meth:`Node.block`): blocks are immutable and the copied entries
+        hold the same objects, so reads on the clone do not re-encode.
+
         The clone gets a fresh RNG; split sampling only consults it
         above the exhaustive-pair threshold, and the default ``mm_rad``
         policy is deterministic below it.
         """
 
         def copy_node(node: Node) -> Node:
-            twin = Node(is_leaf=node.is_leaf)
             if node.is_leaf:
-                twin.entries = [
+                return node.copy([
                     LeafEntry(entry.obj, entry.oid, entry.dist_to_parent)
                     for entry in node.entries
-                ]
-            else:
-                twin.entries = [
-                    RoutingEntry(
-                        entry.obj,
-                        entry.radius,
-                        copy_node(entry.child),
-                        entry.dist_to_parent,
-                    )
-                    for entry in node.entries
-                ]
-            return twin
+                ])
+            return node.copy([
+                RoutingEntry(
+                    entry.obj,
+                    entry.radius,
+                    copy_node(entry.child),
+                    entry.dist_to_parent,
+                )
+                for entry in node.entries
+            ])
 
         twin = MTree(self.metric, self.layout, split_policy=self.split_policy)
         if self._root is not None:
@@ -549,7 +559,7 @@ class MTree:
         ``completeness`` / ``skipped_objects`` report how much of the
         dataset was thereby unreachable.
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         tracer = _obs.tracer
         if tracer is not None:
@@ -580,6 +590,17 @@ class MTree:
         if reg is not None:
             reg.inc("mtree.quarantine_skips", kind=kind)
         return skipped
+
+    def _kernel_input(self, node: Node, entries: Sequence[Any]) -> Sequence[Any]:
+        """Kernel input for ``entries``, a subsequence of ``node.entries``.
+
+        The node's cached block when no entry was filtered out (filters
+        only remove, so equal length means the same entries), else a
+        list of the surviving objects.
+        """
+        if len(entries) == len(node.entries):
+            return node.block(self.metric)
+        return [entry.obj for entry in entries]
 
     def _range_query_impl(
         self,
@@ -656,7 +677,7 @@ class MTree:
             # need distances up to the radius, so they use the bounded
             # kernel (early-exit for edit distance); internal nodes need
             # exact values to seed the children's parent-pruning bounds.
-            objs = [entry.obj for entry in entries]
+            objs = self._kernel_input(node, entries)
             bound = radius if node.is_leaf else None
             if trace_nodes:
                 dists = self._traced_distances(query, objs, level, bound)
@@ -668,13 +689,14 @@ class MTree:
             if reg is not None:
                 reg.inc("mtree.dists_computed", len(entries), kind="range")
             if node.is_leaf:
-                for entry, dist in zip(entries, dists):
-                    if dist <= radius:
-                        items.append((entry.oid, entry.obj, float(dist)))
+                hits = np.flatnonzero(dists <= radius)
+                for i, dist in zip(hits.tolist(), dists[hits].tolist()):
+                    entry = entries[i]
+                    items.append((entry.oid, entry.obj, dist))
             else:
-                for entry, dist in zip(entries, dists):
+                for entry, dist in zip(entries, dists.tolist()):
                     if dist <= radius + entry.radius:
-                        stack.append((entry.child, float(dist), level + 1))
+                        stack.append((entry.child, dist, level + 1))
                     elif reg is not None:
                         reg.inc("mtree.pruned_subtrees", kind="range")
         if reg is not None:
@@ -696,7 +718,7 @@ class MTree:
     def _traced_distances(
         self,
         query: Any,
-        objs: List[Any],
+        objs: Sequence[Any],
         level: int,
         bound: Optional[float] = None,
     ):
@@ -836,14 +858,13 @@ class MTree:
                     ]
             if not entries:
                 continue
-            objs = [entry.obj for entry in entries]
+            objs = self._kernel_input(node, entries)
             # Leaves only need distances up to the current k-th best (the
             # dynamic radius can only shrink, so a proven-greater distance
             # can never re-qualify); internal nodes need exact values for
             # the d_min frontier ordering.
-            bound = kth_distance() if node.is_leaf else None
-            if bound is not None and math.isinf(bound):
-                bound = None
+            kth = kth_distance()
+            bound = kth if node.is_leaf and not math.isinf(kth) else None
             if trace_nodes:
                 dists = self._traced_distances(query, objs, level, bound)
             elif bound is not None:
@@ -854,24 +875,22 @@ class MTree:
             if reg is not None:
                 reg.inc("mtree.dists_computed", len(entries), kind="knn")
             if node.is_leaf:
-                for entry, dist in zip(entries, dists):
+                # Only entries within the k-th distance at node entry can
+                # qualify; each hit is re-checked against the shrinking one.
+                hits = np.flatnonzero(dists <= kth)
+                for i, dist in zip(hits.tolist(), dists[hits].tolist()):
                     if dist <= kth_distance():
-                        heapq.heappush(best, (-float(dist), entry.oid, entry.obj))
+                        entry = entries[i]
+                        heapq.heappush(best, (-dist, entry.oid, entry.obj))
                         if len(best) > k:
                             heapq.heappop(best)
             else:
-                for entry, dist in zip(entries, dists):
-                    d_min = max(float(dist) - entry.radius, 0.0)
+                for entry, dist in zip(entries, dists.tolist()):
+                    d_min = max(dist - entry.radius, 0.0)
                     if d_min <= kth_distance():
                         heapq.heappush(
                             pending,
-                            (
-                                d_min,
-                                next(counter),
-                                entry.child,
-                                float(dist),
-                                level + 1,
-                            ),
+                            (d_min, next(counter), entry.child, dist, level + 1),
                         )
                     elif reg is not None:
                         reg.inc("mtree.pruned_subtrees", kind="knn")
@@ -908,7 +927,7 @@ class MTree:
 
         Returns ``(count, stats)``.
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         reg = _obs.registry
         stats = QueryStats()
@@ -928,7 +947,7 @@ class MTree:
             entries = node.entries
             if not entries:
                 continue
-            objs = [entry.obj for entry in entries]
+            objs = node.block(self.metric)
             if node.is_leaf:
                 dists = self.metric.one_to_many_bounded(query, objs, radius)
             else:
@@ -939,9 +958,9 @@ class MTree:
                     "mtree.dists_computed", len(entries), kind="range_count"
                 )
             if node.is_leaf:
-                total += int(sum(1 for d in dists if d <= radius))
+                total += int(np.count_nonzero(dists <= radius))
                 continue
-            for entry, dist in zip(entries, dists):
+            for entry, dist in zip(entries, dists.tolist()):
                 if dist + entry.radius <= radius:
                     total += counts[id(entry.child)]  # fully contained
                     if reg is not None:
@@ -1025,7 +1044,7 @@ class MTree:
                         continue
                 elif self.metric.distance(obj, entry.obj) > 0:
                     continue
-                node.entries.remove(entry)
+                node.remove(entry)
                 return True
             return False
         for entry in node.entries:
@@ -1049,7 +1068,7 @@ class MTree:
             # Cannot dissolve the only child here; the root-collapse pass
             # in delete() deals with degenerate chains.
             return
-        parent.entries.remove(entry)
+        parent.remove(entry)
         orphans = list(child.entries)
         for orphan in orphans:
             if isinstance(orphan, LeafEntry):
@@ -1144,7 +1163,7 @@ class MTree:
         if not predicates:
             raise InvalidParameterError("need at least one predicate")
         for _query, radius in predicates:
-            if radius < 0:
+            if not (radius >= 0):
                 raise InvalidParameterError(
                     f"radius must be >= 0, got {radius}"
                 )
@@ -1164,7 +1183,7 @@ class MTree:
             entries = node.entries
             if not entries:
                 continue
-            objs = [entry.obj for entry in entries]
+            objs = node.block(self.metric)
             dist_rows = [
                 self.metric.one_to_many(query, objs)
                 for query, _radius in predicates
@@ -1227,7 +1246,9 @@ class MTree:
         * all leaves are at the same depth;
         * no node exceeds its capacity; internal nodes have >= 2 entries
           (except a leaf root);
-        * stored parent distances match recomputed ones.
+        * stored parent distances match recomputed ones;
+        * every cached kernel block (:meth:`Node.block`) equals
+          ``metric.encode`` of the node's current objects.
         """
         if self._root is None:
             return
@@ -1239,6 +1260,10 @@ class MTree:
                 f"node with {len(node.entries)} entries exceeds capacity "
                 f"{self._capacity(node)}"
             )
+            block = node.cached_block(self.metric)
+            if block is not None:
+                fresh = self.metric.encode([entry.obj for entry in node.entries])
+                assert _same_block(block, fresh), "stale kernel block"
             if node.is_leaf:
                 leaf_depths.append(depth)
                 for entry in node.entries:

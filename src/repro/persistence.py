@@ -301,20 +301,20 @@ def _encode_node(node: Node, encode: Encoder) -> Dict[str, Any]:
 def _decode_node(payload: Dict[str, Any], decode: Decoder) -> Node:
     node = Node(is_leaf=payload["leaf"])
     if payload["leaf"]:
-        for entry in payload["entries"]:
-            node.add(
-                LeafEntry(decode(entry["obj"]), int(entry["oid"]), entry["dp"])
-            )
+        node.replace([
+            LeafEntry(decode(entry["obj"]), int(entry["oid"]), entry["dp"])
+            for entry in payload["entries"]
+        ])
     else:
-        for entry in payload["entries"]:
-            node.add(
-                RoutingEntry(
-                    decode(entry["obj"]),
-                    entry["radius"],
-                    _decode_node(entry["child"], decode),
-                    entry["dp"],
-                )
+        node.replace([
+            RoutingEntry(
+                decode(entry["obj"]),
+                entry["radius"],
+                _decode_node(entry["child"], decode),
+                entry["dp"],
             )
+            for entry in payload["entries"]
+        ])
     return node
 
 

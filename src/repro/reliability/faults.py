@@ -413,7 +413,7 @@ class StructuralFaultInjector:
             )
         node = self._rng.choice(leaves)
         entry = self._rng.choice(node.entries)
-        node.entries.remove(entry)
+        node.remove(entry)
         tree._invalidate_caches()
         return {
             "kind": "object_count_mismatch",

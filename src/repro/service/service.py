@@ -83,7 +83,7 @@ class QueryRequest:
                 f"kind must be 'range' or 'knn', got {self.kind!r}"
             )
         if self.kind == "range" and (
-            self.radius is None or self.radius < 0
+            self.radius is None or not (self.radius >= 0)
         ):
             raise InvalidParameterError(
                 f"range query needs radius >= 0, got {self.radius}"

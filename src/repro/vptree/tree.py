@@ -305,7 +305,7 @@ class VPTree:
         causes quarantined subtrees to be skipped; the result's
         ``completeness`` reports the reachable fraction of the dataset.
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         reg = _obs.registry
         tracer = _obs.tracer

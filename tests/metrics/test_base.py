@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics import CountingMetric, FunctionMetric, L2
+from repro.exceptions import InvalidParameterError
+from repro.metrics import (
+    CountingMetric,
+    EditDistance,
+    FunctionMetric,
+    HammingDistance,
+    JaccardDistance,
+    L2,
+)
 
 
 class TestFunctionMetric:
@@ -67,3 +75,37 @@ class TestCountingMetric:
 
     def test_name_reflects_inner(self):
         assert CountingMetric(L2()).name == "counting(L2)"
+
+
+class TestBoundedValidation:
+    """A negative or NaN bound is rejected by every metric, not answered
+    with an all-``inf`` vector."""
+
+    CASES = [
+        (L2(), [0.0, 0.0], [[1.0, 1.0]]),
+        (EditDistance(), "abc", ["abd"]),
+        (HammingDistance(), [0, 1], [[0, 0]]),
+        (JaccardDistance(), frozenset({1}), [frozenset({2})]),
+        (FunctionMetric(lambda a, b: abs(a - b)), 0.0, [1.0]),
+        (CountingMetric(L2()), [0.0, 0.0], [[1.0, 1.0]]),
+    ]
+
+    @pytest.mark.parametrize("bound", [float("nan"), -1.0])
+    @pytest.mark.parametrize(
+        "metric,x,ys", CASES, ids=[case[0].name for case in CASES]
+    )
+    def test_invalid_bound_rejected(self, metric, x, ys, bound):
+        with pytest.raises(InvalidParameterError):
+            metric.one_to_many_bounded(x, ys, bound)
+
+    def test_counting_metric_counts_nothing_on_rejection(self):
+        counting = CountingMetric(L2())
+        with pytest.raises(InvalidParameterError):
+            counting.one_to_many_bounded([0.0], [[1.0], [2.0]], float("nan"))
+        assert counting.calls == 0
+
+    def test_default_encode_is_a_list_and_counting_forwards(self):
+        ys = [[1.0, 2.0], [3.0, 4.0]]
+        assert FunctionMetric(lambda a, b: 0.0).encode(ys) == ys
+        block = CountingMetric(L2()).encode(ys)
+        assert np.array_equal(block, L2().encode(ys))

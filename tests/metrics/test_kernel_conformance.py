@@ -212,6 +212,43 @@ def test_one_to_many_bounded_default_masks():
     assert out.tolist() == [0.0, 5.0, float("inf")]
 
 
+# ------------------------------------------------------- encoded blocks
+
+
+ENCODE_CASES = [
+    (EditDistance(), WORD, WORDS),
+    (L1(), VEC, st.lists(VEC, max_size=8)),
+    (L2(), VEC, st.lists(VEC, max_size=8)),
+    (LInf(), VEC, st.lists(VEC, max_size=8)),
+    (MinkowskiMetric(2.5), VEC, st.lists(VEC, max_size=8)),
+    (HammingDistance(), CODE, st.lists(CODE, max_size=8)),
+    (JaccardDistance(), IDSET, st.lists(IDSET, max_size=8)),
+]
+
+
+@pytest.mark.parametrize(
+    "metric,item,items", ENCODE_CASES, ids=[c[0].name for c in ENCODE_CASES]
+)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_encoded_block_is_bit_equal_to_plain_input(metric, item, items, data):
+    """``Metric.encode``'s contract, on every backend: the block gives
+    bit-identical one-to-many and bounded answers, empty ``ys`` included."""
+    x = data.draw(item)
+    ys = data.draw(items)
+    bound = data.draw(st.sampled_from([0.0, 1.0, 2.5, 50.0]))
+    block = metric.encode(ys)
+    assert len(block) == len(ys)
+    for name in backends():
+        with kernels.use_backend(name):
+            plain = metric.one_to_many(x, ys)
+            assert np.array_equal(metric.one_to_many(x, block), plain), name
+            assert np.array_equal(
+                metric.one_to_many_bounded(x, block, bound),
+                metric.one_to_many_bounded(x, ys, bound),
+            ), name
+
+
 # ------------------------------------------------------- metric axioms
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import InvalidParameterError
-from repro.metrics import L1, L2, LInf, MinkowskiMetric
+from repro.metrics import L1, L2, LInf, MinkowskiMetric, kernels
 
 finite_vectors = arrays(
     np.float64,
@@ -79,6 +79,71 @@ class TestValidation:
     def test_rowwise_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             L2().rowwise(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+BACKENDS = [
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not kernels.native_available(), reason="extension not built"
+        ),
+    ),
+    "numpy",
+    "scalar",
+]
+
+
+class TestEmptySide:
+    """A batch with no vectors on one side is an empty result, not a
+    dimension mismatch."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_to_many_empty(self, backend):
+        with kernels.use_backend(backend):
+            out = LInf().one_to_many([0.1, 0.2], [])
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pairwise_empty_either_side(self, backend):
+        with kernels.use_backend(backend):
+            assert L2().pairwise([], [[0.1, 0.2], [0.3, 0.4]]).shape == (0, 2)
+            assert L2().pairwise([[0.1, 0.2]], []).shape == (1, 0)
+            assert L1().pairwise([], []).shape == (0, 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rowwise_empty(self, backend):
+        with kernels.use_backend(backend):
+            assert L2().rowwise([], []).shape == (0,)
+            with pytest.raises(InvalidParameterError):
+                L2().rowwise([], [[0.1, 0.2]])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_encode_empty_block(self, backend):
+        block = LInf().encode([])
+        assert len(block) == 0
+        with kernels.use_backend(backend):
+            assert LInf().one_to_many([0.1, 0.2], block).shape == (0,)
+            assert LInf().one_to_many_bounded([0.1, 0.2], block, 1.0).shape == (0,)
+
+
+class TestEncode:
+    def test_block_is_read_only_float64_matrix(self):
+        block = L2().encode([[1, 2], [3, 4], [5, 6]])
+        assert block.dtype == np.float64
+        assert block.shape == (3, 2)
+        assert block.flags.c_contiguous
+        assert not block.flags.writeable
+
+    def test_block_never_aliases_the_input(self):
+        ys = np.zeros((4, 3))
+        block = L2().encode(ys)
+        assert ys.flags.writeable
+        ys[0, 0] = 5.0
+        assert block[0, 0] == 0.0
+
+    def test_kernels_take_the_block_without_a_copy(self):
+        block = L2().encode([[1.0, 2.0], [3.0, 4.0]])
+        assert kernels.encode.as_f64_matrix(block) is block
 
 
 class TestBulkConsistency:

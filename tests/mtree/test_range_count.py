@@ -67,6 +67,12 @@ class TestRangeCount:
         with pytest.raises(InvalidParameterError):
             tree.range_count(np.zeros(4), -0.1)
 
+    @pytest.mark.parametrize("radius", [-0.1, float("nan")])
+    def test_invalid_radius_rejected(self, tree_and_points, radius):
+        tree, _points = tree_and_points
+        with pytest.raises(InvalidParameterError):
+            tree.range_count(np.zeros(4), radius)
+
 
 class TestHistogramMerge:
     def test_identity_merge(self):

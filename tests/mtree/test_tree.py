@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EmptyTreeError, InvalidParameterError
 from repro.metrics import L2, EditDistance, LInf
-from repro.mtree import MTree, NodeLayout, vector_layout
+from repro.mtree import MTree, NodeLayout, bulk_load, vector_layout
+from repro.reliability import StructuralFaultInjector
 from repro.workloads import LinearScanBaseline
 
 
@@ -93,6 +100,18 @@ class TestRangeQuery:
         tree = build_tree(rng.random((10, 2)))
         with pytest.raises(InvalidParameterError):
             tree.range_query(np.zeros(2), -0.1)
+
+    @pytest.mark.parametrize("radius", [-0.1, math.nan])
+    def test_invalid_radius_rejected(self, radius, rng):
+        tree = build_tree(rng.random((10, 2)))
+        with pytest.raises(InvalidParameterError):
+            tree.range_query(np.zeros(2), radius)
+
+    @pytest.mark.parametrize("radius", [-0.1, math.nan])
+    def test_complex_query_rejects_invalid_radius(self, radius, rng):
+        tree = build_tree(rng.random((10, 2)))
+        with pytest.raises(InvalidParameterError):
+            tree.complex_range_query([(np.zeros(2), 0.5), (np.ones(2), radius)])
 
     def test_empty_tree_returns_empty(self):
         tree = MTree(L2(), vector_layout(2))
@@ -217,3 +236,136 @@ class TestSplitPolicyVariants:
             if L2().distance(query, p) <= 0.3
         )
         assert sorted(tree.range_query(query, 0.3).oids()) == expected
+
+
+# Coordinates on a small integer grid make exact distance ties common.
+GRID_POINT = st.tuples(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
+).map(lambda xy: np.array(xy, dtype=np.float64))
+BLOCK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), GRID_POINT),
+        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(
+            st.just("range"), GRID_POINT, st.sampled_from([0.0, 1.0, 2.5, 9.0])
+        ),
+        st.tuples(st.just("knn"), GRID_POINT, st.integers(min_value=1, max_value=8)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestNodeBlocks:
+    """Each node caches its objects in kernel input form; every change
+    to its entries must drop the cache."""
+
+    def test_entries_cannot_be_mutated_in_place(self, rng):
+        tree = build_tree(rng.random((40, 2)))
+        node = tree.root
+        assert isinstance(node.entries, tuple)
+        with pytest.raises(AttributeError):
+            getattr(node.entries, "append")
+        with pytest.raises(AttributeError):
+            setattr(node, "entries", ())
+
+    def test_mutators_drop_the_block(self, rng):
+        tree = build_tree(rng.random((40, 2)))
+        leaf = next(node for node in tree.iter_nodes() if node.is_leaf)
+        block = leaf.block(tree.metric)
+        assert leaf.block(tree.metric) is block
+        assert len(block) == len(leaf.entries)
+        leaf.remove(leaf.entries[0])
+        assert leaf.cached_block(tree.metric) is None
+        assert len(leaf.block(tree.metric)) == len(leaf.entries)
+
+    def test_clone_shares_blocks(self, rng):
+        tree = build_tree(rng.random((120, 2)))
+        tree.range_query(np.zeros(2), 10.0)  # builds every block
+        twin = tree.clone()
+        for original, copy in zip(tree.iter_nodes(), twin.iter_nodes()):
+            assert copy.cached_block(twin.metric) is original.block(tree.metric)
+        twin.insert(np.array([0.5, 0.5]))
+        twin.validate()
+        tree.validate()
+
+    def test_concurrent_readers_build_blocks_safely(self, rng):
+        """Worker threads racing to build the same missing blocks all get
+        exact answers, and the blocks they leave behind are current."""
+        points = rng.random((400, 2))
+        tree = bulk_load(points, L2(), vector_layout(2), seed=1)
+        queries = rng.random((30, 2))
+        scan = LinearScanBaseline(list(points), L2(), 8, 4096)
+        expected = [
+            sorted(i for i, _o, _d in scan.range_query(q, 0.2)[0])
+            for q in queries
+        ]
+        mismatches = []
+
+        def reader(offset):
+            for j in range(len(queries)):
+                i = (j + offset) % len(queries)
+                got = sorted(tree.range_query(queries[i], 0.2).oids())
+                if got != expected[i]:
+                    mismatches.append(i)
+
+        threads = [
+            threading.Thread(target=reader, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        tree.validate()
+
+    def test_query_after_dropped_entry_sees_the_drop(self, rng):
+        points = rng.random((200, 2))
+        tree = build_tree(points)
+        assert len(tree.range_query(np.zeros(2), 10.0)) == len(points)
+        StructuralFaultInjector(seed=3).drop_entry(tree)
+        assert len(tree.range_query(np.zeros(2), 10.0)) == len(points) - 1
+
+    @given(ops=BLOCK_OPS)
+    @settings(max_examples=60)
+    def test_interleaved_updates_match_linear_scan(self, ops):
+        metric = L2()
+        layout = NodeLayout(
+            node_size_bytes=96, object_bytes=8, min_utilization=0.3
+        )
+        tree = MTree(metric, layout, seed=0)
+        live = {}  # oid -> point
+        for op in ops:
+            if op[0] == "insert":
+                oid = tree.insert(op[1])
+                live[oid] = op[1]
+            elif op[0] == "delete":
+                if not live:
+                    continue
+                oid = sorted(live)[op[1] % len(live)]
+                assert tree.delete(live.pop(oid), oid=oid)
+            else:
+                if not live:
+                    continue
+                oids = sorted(live)
+                scan = LinearScanBaseline(
+                    [live[oid] for oid in oids], metric, 8, 96
+                )
+                if op[0] == "range":
+                    got = sorted(tree.range_query(op[1], op[2]).oids())
+                    want = sorted(
+                        oids[i] for i, _o, _d in scan.range_query(op[1], op[2])[0]
+                    )
+                    assert got == want
+                else:
+                    k = min(op[2], len(live))
+                    got = tree.knn_query(op[1], k).distances()
+                    want = [d for _i, _o, d in scan.knn_query(op[1], k)[0]]
+                    assert got == want
+            tree.validate()

@@ -66,6 +66,12 @@ class TestQueryRequest:
             QueryRequest("knn", np.zeros(2), k=0)
 
 
+    @pytest.mark.parametrize("radius", [-0.1, float("nan")])
+    def test_range_radius_must_be_non_negative(self, radius):
+        with pytest.raises(InvalidParameterError):
+            QueryRequest("range", np.zeros(2), radius=radius)
+
+
 class TestPercentile:
     def test_interpolation(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -240,9 +246,17 @@ class TestRun:
 
     def test_overload_sheds_and_keeps_p99_bounded(self, served_tree):
         data, tree = served_tree
+
+        class SlowBackend(MTreeBackend):
+            # Hold each admitted query, so 12 workers always outnumber 2
+            # slots plus 1 queue place, however fast the tree answers.
+            def execute(self, request, deadline=None):
+                time.sleep(0.002)
+                return super().execute(request, deadline)
+
         requests = make_requests(data, 120)
         service = QueryService(
-            MTreeBackend(tree),
+            SlowBackend(tree),
             admission=AdmissionController(max_concurrent=2, max_queue=1),
         )
         report = service.run(requests, workers=12, deadline_ms=10_000)

@@ -84,6 +84,12 @@ class TestRangeQuery:
         with pytest.raises(InvalidParameterError):
             tree.range_query(points[0], -1.0)
 
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_invalid_radius_rejected(self, points, radius):
+        tree = VPTree.build(list(points[:10]), L2())
+        with pytest.raises(InvalidParameterError):
+            tree.range_query(points[0], radius)
+
     def test_empty_tree(self):
         tree = VPTree.build([], L2())
         assert len(tree.range_query(np.zeros(2), 1.0)) == 0

@@ -11,10 +11,13 @@ package machine-checks those invariants (see ``docs/static-analysis.md``):
 
 * :mod:`~repro.analysis.engine` — parses source into
   :class:`SourceModule` records and drives registered checkers;
+* :mod:`~repro.analysis.flow` — the shared interprocedural call graph,
+  reachability and lock facts behind the whole-program rules;
 * :mod:`~repro.analysis.checkers` — the project rules
-  (``lock-discipline``, ``lock-order``, ``cancellation-hygiene``,
+  (``lockset-race``, ``lock-order``, ``cancellation-hygiene``,
   ``exception-hierarchy``, ``float-discipline``,
-  ``observability-guard``, ``api-surface``);
+  ``observability-guard``, ``api-surface``, and the protocol rules
+  ``durability-protocol``, ``epoch-fence``, ``deadline-propagation``);
 * :mod:`~repro.analysis.suppress` — per-line
   ``# metalint: ignore[RULE]`` suppressions;
 * :mod:`~repro.analysis.baseline` — a committed baseline file for

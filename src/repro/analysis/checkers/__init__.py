@@ -17,7 +17,6 @@ from . import (  # noqa: F401 — imported for their @register side effects
     epoch_fence,
     exception_hierarchy,
     float_discipline,
-    lock_discipline,
     lock_order,
     lockset_race,
     observability_guard,
@@ -31,7 +30,6 @@ __all__ = [
     "epoch_fence",
     "exception_hierarchy",
     "float_discipline",
-    "lock_discipline",
     "lock_order",
     "lockset_race",
     "observability_guard",

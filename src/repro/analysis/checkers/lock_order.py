@@ -4,117 +4,51 @@ Deadlocks need two ingredients: more than one lock, and disagreement
 about acquisition order.  This checker builds the cross-class lock
 graph statically: an edge ``A -> B`` means "some method of ``A`` can
 acquire ``B``'s lock while holding ``A``'s own".  Code holding a lock
-includes ``with self._lock:`` bodies, ``*_locked`` helpers, and (by
-fixpoint) any same-class method called from held code.
+includes ``with self._lock:`` bodies, ``*_locked`` helpers, and any
+same-class method called from held code
+(:meth:`~repro.analysis.flow.ProjectFlow.sometimes_locked_methods`).
 
-Receivers are bound to classes heuristically — ``self.x`` assigned a
-``ClassName(...)`` in ``__init__``, locals assigned from the
-observability globals (``_obs.registry`` / ``_obs.tracer``), and direct
-dotted calls on those globals.  A cycle in the resulting graph is a
-latent deadlock; so is re-acquiring a non-reentrant ``threading.Lock``
-from code that already holds it.
+Every class, method, lock and callee fact comes from the shared
+:class:`~repro.analysis.flow.ProjectFlow`: a held call contributes an
+edge when its resolved callee is a method that takes another class's
+lock.  A cycle in the resulting graph is a latent deadlock; so is
+re-acquiring a non-reentrant ``threading.Lock`` from code that already
+holds it.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
-from ..astutil import dotted_name, is_under_with
+from ..astutil import dotted_name
 from ..findings import Finding
+from ..flow import CallSite, FlowClass, FunctionInfo, ProjectFlow, get_flow
 from ..registry import Checker, register
 
 __all__ = ["LockOrderChecker"]
 
-#: Dotted spellings of the observability globals and the classes behind
-#: them.  ``reg = _obs.registry`` binds ``reg`` to ``MetricsRegistry``.
-GLOBAL_BINDINGS = {
-    "_obs.registry": "MetricsRegistry",
-    "_obs.tracer": "Tracer",
-    "state.registry": "MetricsRegistry",
-    "state.tracer": "Tracer",
-}
 
-
-@dataclass
-class _ClassInfo:
-    name: str
-    node: ast.ClassDef
-    module: Any
-    reentrant: bool = False
-    #: method name -> FunctionDef
-    methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: method names that acquire self._lock somewhere in their body
-    acquiring: Set[str] = field(default_factory=set)
-    #: ``self.<attr>`` -> bound class name (from __init__ assignments)
-    attr_bindings: Dict[str, str] = field(default_factory=dict)
-
-
-def _scan_class(cls: ast.ClassDef, module: Any) -> Optional[_ClassInfo]:
-    info = _ClassInfo(name=cls.name, node=cls, module=module)
-    has_lock = False
-    for item in cls.body:
-        if not isinstance(item, ast.FunctionDef):
-            continue
-        info.methods[item.name] = item
-        for node in ast.walk(item):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for with_item in node.items:
-                    expr: ast.AST = with_item.context_expr
-                    if isinstance(expr, ast.Call):
-                        expr = expr.func
-                    if dotted_name(expr) == "self._lock":
-                        info.acquiring.add(item.name)
-            if item.name == "__init__" and isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        continue
-                    value = node.value
-                    if target.attr == "_lock":
-                        has_lock = True
-                        ctor = value
-                        if isinstance(ctor, ast.Call):
-                            ctor = ctor.func
-                        ctor_name = dotted_name(ctor) or ""
-                        info.reentrant = ctor_name.endswith("RLock")
-                    elif isinstance(value, ast.Call):
-                        ctor_name = dotted_name(value.func)
-                        if ctor_name is not None:
-                            info.attr_bindings[target.attr] = (
-                                ctor_name.rsplit(".", 1)[-1]
-                            )
-    return info if has_lock else None
-
-
-def _local_bindings(func: ast.FunctionDef) -> Dict[str, str]:
-    """Locals assigned from a known lock-owning global (``reg = ...``)."""
-    bindings: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                source = dotted_name(node.value)
-                if source in GLOBAL_BINDINGS:
-                    bindings[target.id] = GLOBAL_BINDINGS[source]
-    return bindings
+def _acquires(info: FunctionInfo) -> bool:
+    """Does the method take ``self._lock`` in a ``with`` somewhere?"""
+    for node in ast.walk(info.node):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                expr: ast.AST = item.context_expr
+                if isinstance(expr, ast.Call):
+                    expr = expr.func
+                if dotted_name(expr) == "self._lock":
+                    return True
+    return False
 
 
 @dataclass(frozen=True)
 class _Edge:
+    #: class qnames of the lock held and the lock acquired
     src: str
     dst: str
-    #: graph keys: (rel_path, class name) — two same-named classes in
-    #: different modules are distinct lock owners
-    src_key: Tuple[str, str]
-    dst_key: Tuple[str, str]
-    module: Any
-    site: ast.AST
-    via: str
+    site: CallSite
 
 
 @register
@@ -126,193 +60,96 @@ class LockOrderChecker(Checker):
     )
 
     def check_project(self, context: Any) -> Iterable[Finding]:
-        # Names can repeat across modules; resolution prefers a class
-        # defined in the same module as the call site.
-        classes: Dict[str, List[_ClassInfo]] = {}
-        for module in context.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    info = _scan_class(node, module)
-                    if info is not None:
-                        classes.setdefault(info.name, []).append(info)
-
+        flow = get_flow(context)
         findings: List[Finding] = []
         edges: List[_Edge] = []
-        for infos in classes.values():
-            for info in infos:
-                findings.extend(self._class_edges(info, classes, edges))
-        findings.extend(self._cycles(edges))
+        for cls in flow.classes.values():
+            if cls.has_lock:
+                findings.extend(self._class_edges(flow, cls, edges))
+        findings.extend(self._cycles(flow, edges))
         return findings
-
-    @staticmethod
-    def _lookup(
-        classes: Dict[str, List[_ClassInfo]],
-        name: Optional[str],
-        near: _ClassInfo,
-    ) -> Optional[_ClassInfo]:
-        candidates = classes.get(name or "")
-        if not candidates:
-            return None
-        for candidate in candidates:
-            if candidate.module is near.module:
-                return candidate
-        return candidates[0]
-
-    def _held_statements(
-        self, info: _ClassInfo
-    ) -> Iterable[Tuple[ast.FunctionDef, ast.AST]]:
-        """(method, node) pairs executed while ``info``'s lock is held.
-
-        Seeded from ``with self._lock`` bodies and ``*_locked`` helpers,
-        then closed over same-class method calls: a plain method invoked
-        from held code also runs under the lock.
-        """
-        held_methods: Set[str] = {
-            name for name in info.methods if name.endswith("_locked")
-        }
-        direct: List[Tuple[ast.FunctionDef, ast.AST]] = []
-        for name, func in info.methods.items():
-            for node in ast.walk(func):
-                in_locked_helper = name in held_methods
-                if in_locked_helper or is_under_with(node, "self._lock"):
-                    direct.append((func, node))
-
-        # Fixpoint: pull in whole bodies of same-class methods called
-        # from held code (skip acquiring methods — RLock re-entry is
-        # handled separately, and with a plain Lock they'd deadlock at
-        # the `with`, which _self_deadlock reports).
-        pending = True
-        while pending:
-            pending = False
-            called: Set[str] = set()
-            for _func, node in direct:
-                if isinstance(node, ast.Call):
-                    callee = dotted_name(node.func)
-                    if callee and callee.startswith("self."):
-                        called.add(callee[len("self.") :])
-            for name in called:
-                if name in held_methods or name not in info.methods:
-                    continue
-                held_methods.add(name)
-                func = info.methods[name]
-                for node in ast.walk(func):
-                    direct.append((func, node))
-                pending = True
-        return direct
 
     def _class_edges(
-        self,
-        info: _ClassInfo,
-        classes: Dict[str, List[_ClassInfo]],
-        edges: List[_Edge],
-    ) -> Iterable[Finding]:
+        self, flow: ProjectFlow, cls: FlowClass, edges: List[_Edge]
+    ) -> List[Finding]:
         findings: List[Finding] = []
-        local_cache: Dict[str, Dict[str, str]] = {}
-        for func, node in self._held_statements(info):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = dotted_name(node.func)
-            if callee is None:
-                continue
-            # Re-acquiring our own non-reentrant lock while holding it.
-            # (Only `self.m()` — `self.attr.m()` is a call on another
-            # object and falls through to receiver resolution below.)
-            if callee.startswith("self.") and callee.count(".") == 1:
-                method = callee[len("self.") :]
-                if (
-                    method in info.acquiring
-                    and not info.reentrant
-                    and not func.name.endswith("_locked")
+        held_methods = flow.sometimes_locked_methods(cls.qname)
+        for info in cls.methods.values():
+            for site in info.calls:
+                callee = flow.functions.get(site.callee or "")
+                if callee is None or not (
+                    info.name in held_methods
+                    or flow.holds_own_lock(info, site.node)
                 ):
-                    findings.append(
-                        info.module.finding(
-                            self.rule,
-                            node,
-                            f"{info.name}.{func.name}() calls "
-                            f"self.{method}() while holding the "
-                            "non-reentrant self._lock that "
-                            f"{method}() acquires — guaranteed "
-                            "self-deadlock",
+                    continue
+                if site.raw == f"self.{site.final_name}":
+                    # Re-acquiring our own non-reentrant lock while
+                    # holding it.
+                    if (
+                        not cls.lock_reentrant
+                        and not info.name.endswith("_locked")
+                        and _acquires(callee)
+                    ):
+                        findings.append(
+                            cls.module.finding(
+                                self.rule,
+                                site.node,
+                                f"{cls.name}.{info.name}() calls "
+                                f"{site.raw}() while holding the "
+                                "non-reentrant self._lock that "
+                                f"{callee.name}() acquires — guaranteed "
+                                "self-deadlock",
+                            )
                         )
-                    )
-                continue
-            target = self._resolve_receiver(
-                callee, info, func, local_cache
-            )
-            if target is None or target == info.name:
-                continue
-            target_info = self._lookup(classes, target, info)
-            if target_info is None:
-                continue
-            method = callee.rsplit(".", 1)[-1]
-            if method in target_info.acquiring:
-                edges.append(
-                    _Edge(
-                        src=info.name,
-                        dst=target,
-                        src_key=(info.module.rel_path, info.name),
-                        dst_key=(
-                            target_info.module.rel_path,
-                            target_info.name,
-                        ),
-                        module=info.module,
-                        site=node,
-                        via=f"{func.name}() -> {callee}()",
-                    )
-                )
+                    continue
+                target = flow.classes.get(callee.class_qname or "")
+                if (
+                    target is not None
+                    and target is not cls
+                    and target.has_lock
+                    and _acquires(callee)
+                ):
+                    edges.append(_Edge(cls.qname, target.qname, site))
         return findings
 
-    def _resolve_receiver(
-        self,
-        callee: str,
-        info: _ClassInfo,
-        func: ast.FunctionDef,
-        local_cache: Dict[str, Dict[str, str]],
-    ) -> Optional[str]:
-        receiver, _sep, _method = callee.rpartition(".")
-        if not receiver:
-            return None
-        if receiver.startswith("self."):
-            attr = receiver[len("self.") :]
-            return info.attr_bindings.get(attr)
-        dotted = f"{receiver}"
-        if dotted in GLOBAL_BINDINGS:
-            return GLOBAL_BINDINGS[dotted]
-        if func.name not in local_cache:
-            local_cache[func.name] = _local_bindings(func)
-        return local_cache[func.name].get(receiver)
-
-    def _cycles(self, edges: List[_Edge]) -> Iterable[Finding]:
-        _Key = Tuple[str, str]
-        graph: Dict[_Key, List[_Edge]] = {}
+    def _cycles(
+        self, flow: ProjectFlow, edges: List[_Edge]
+    ) -> Iterable[Finding]:
+        graph: Dict[str, List[_Edge]] = {}
         for edge in edges:
-            graph.setdefault(edge.src_key, []).append(edge)
+            graph.setdefault(edge.src, []).append(edge)
 
         findings: List[Finding] = []
-        reported: Set[Tuple[_Key, ...]] = set()
+        reported: Set[Tuple[str, ...]] = set()
 
-        def dfs(node: _Key, stack: List[_Key], path: List[_Edge]) -> None:
+        def dfs(node: str, stack: List[str], path: List[_Edge]) -> None:
             for edge in graph.get(node, []):
-                if edge.dst_key in stack:
-                    start = stack.index(edge.dst_key)
-                    cycle = stack[start:] + [edge.dst_key]
+                if edge.dst in stack:
+                    start = stack.index(edge.dst)
+                    cycle = stack[start:] + [edge.dst]
                     key = tuple(sorted(set(cycle)))
                     if key not in reported:
                         reported.add(key)
-                        chain = " -> ".join(name for _path, name in cycle)
+                        chain = " -> ".join(
+                            flow.classes[qname].name for qname in cycle
+                        )
                         first = path[start] if start < len(path) else edge
+                        via = (
+                            f"{edge.site.caller.name}() -> "
+                            f"{edge.site.raw}()"
+                        )
                         findings.append(
-                            first.module.finding(
+                            first.site.caller.module.finding(
                                 self.rule,
-                                first.site,
+                                first.site.node,
                                 "lock-acquisition cycle "
-                                f"{chain} (via {edge.via}) — two threads "
+                                f"{chain} (via {via}) — two threads "
                                 "taking these locks in opposite order "
                                 "deadlock",
                             )
                         )
                     continue
-                dfs(edge.dst_key, stack + [edge.dst_key], path + [edge])
+                dfs(edge.dst, stack + [edge.dst], path + [edge])
 
         for start in sorted(graph):
             dfs(start, [start], [])

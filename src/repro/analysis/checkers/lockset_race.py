@@ -1,10 +1,22 @@
 """lockset-race: lock-guarded state must see a consistent lockset.
 
-``lock-discipline`` (PR 5) checks *writes* with a same-method heuristic:
-a mutation is fine if it sits under ``with self._lock:`` or inside a
-``*_locked`` helper.  That misses two whole bug families this rule
-catches with the interprocedural flow core:
+The serving and observability layers follow one convention everywhere:
+a thread-safe class creates ``self._lock`` in ``__init__``, every
+mutation of its shared attributes happens inside ``with self._lock:``,
+and helper methods that *assume* the lock is already held advertise it
+with a ``_locked`` name suffix.
 
+The guarded attribute set is inferred per class instead of hard-coded:
+any ``self.<attr>`` mutated at least once while the lock is held is
+lock-guarded.  "Held" is interprocedural: under the ``with``, inside a
+``*_locked`` helper, or inside a plain-named method whose every call
+site holds the lock (the flow core's always-held fixpoint).  Three bug
+families are reported:
+
+* **unlocked write** — a guarded attribute mutated outside
+  ``__init__`` at a site the lockset analysis cannot prove locked
+  (``def forget(self): self._events.remove(e)`` while ``record()``
+  appends under the lock);
 * **unlocked dereference** — an attribute that the lock guards (written
   under it, and rebound over the object's lifetime, e.g. a WAL handle
   that ``close()`` swaps to ``None``) is dereferenced in one expression
@@ -12,11 +24,10 @@ catches with the interprocedural flow core:
   Between the attribute load and the method call another thread can
   rebind or tear down the object.  The repo convention is
   snapshot-then-use: copy the reference under the lock (or in a single
-  plain read), then operate on the immutable snapshot.
+  plain read), then operate on the immutable snapshot;
 * **naked ``*_locked`` call** — a helper that *advertises* "caller
   holds the lock" invoked from a site that provably does not, even via
-  an intermediate plain-named method (the flow core's always-held
-  fixpoint credits methods whose every call site holds the lock).
+  an intermediate plain-named method.
 
 Plain snapshot reads (``view = self._view``) stay silent, as do writes
 inside methods the fixpoint proves always-locked.
@@ -31,9 +42,80 @@ from ..astutil import ancestors
 from ..findings import Finding
 from ..flow import FunctionInfo, ProjectFlow, get_flow
 from ..registry import Checker, register
-from .lock_discipline import _EXEMPT_METHODS, _mutated_attr, _self_attr
 
 __all__ = ["LocksetRaceChecker"]
+
+
+#: ``self.attr.<method>(...)`` calls that mutate the container in place.
+MUTATOR_METHODS = {
+    "add",
+    "append",
+    "appendleft",
+    "clear",
+    "discard",
+    "extend",
+    "insert",
+    "pop",
+    "popitem",
+    "popleft",
+    "remove",
+    "setdefault",
+    "update",
+}
+
+#: Methods whose body runs before the object is shared.
+_EXEMPT_METHODS = ("__init__", "__new__", "__post_init__")
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is exactly ``self.attr``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _mutated_attr(node: ast.AST) -> Optional[str]:
+    """The ``self.<attr>`` a statement/expression mutates, if any."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        for target in targets:
+            attr = _self_attr(target)
+            if attr is not None:
+                return attr
+            if isinstance(target, ast.Subscript):
+                attr = _self_attr(target.value)
+                if attr is not None:
+                    return attr
+            if isinstance(target, (ast.Tuple, ast.List)):
+                for element in target.elts:
+                    attr = _self_attr(element)
+                    if attr is not None:
+                        return attr
+    if isinstance(node, ast.Delete):
+        for target in node.targets:
+            attr = _self_attr(target)
+            if attr is not None:
+                return attr
+            if isinstance(target, ast.Subscript):
+                attr = _self_attr(target.value)
+                if attr is not None:
+                    return attr
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in MUTATOR_METHODS
+        ):
+            attr = _self_attr(func.value)
+            if attr is not None:
+                return attr
+    return None
 
 
 def _deref_attr(node: ast.AST) -> Optional[str]:
@@ -116,8 +198,7 @@ class LocksetRaceChecker(Checker):
         }
 
         # (a) writes to guarded attrs at sites the lockset analysis
-        # cannot prove locked (interprocedural: always-held methods are
-        # exempt, so this is strictly quieter than lock-discipline).
+        # cannot prove locked (always-held methods are exempt).
         seen: Set[Tuple[int, str]] = set()
         for attr, node, info, held in writes:
             if held or attr not in guarded:

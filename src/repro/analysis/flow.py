@@ -1,25 +1,28 @@
-"""The interprocedural flow core shared by the protocol checkers.
+"""The interprocedural flow core shared by the protocol and lock checkers.
 
-The PR-5 checkers see one module at a time; the protocol rules
-(``lockset-race``, ``durability-protocol``, ``epoch-fence``,
-``deadline-propagation``) need whole-program facts: *who calls whom
-across modules*, *which functions eventually hit the disk or the
-batched metric kernels*, and *which statements run with which locks
-held*.  :class:`ProjectFlow` computes those facts once per lint run
-from the parsed :class:`~repro.analysis.engine.ProjectContext`:
+The per-module checkers see one file at a time; the protocol and lock
+rules (``lockset-race``, ``lock-order``, ``durability-protocol``,
+``epoch-fence``, ``deadline-propagation``) need whole-program facts:
+*who calls whom across modules*, *which functions eventually hit the
+disk or the batched metric kernels*, and *which statements run with
+which locks held*.  :class:`ProjectFlow` computes those facts once per
+lint run from the parsed :class:`~repro.analysis.engine.ProjectContext`:
 
 * a project-wide **call graph** with module-local and cross-module name
   resolution (top-level defs, classes and methods, ``import`` /
   ``from .. import`` bindings including relative imports, ``self.attr``
-  receivers typed from constructor assignments and annotations, and
-  locals assigned a constructor);
+  receivers typed from constructor assignments and annotations,
+  annotated module globals such as ``registry: Optional[MetricsRegistry]``,
+  and locals assigned a constructor or one of those globals);
 * **reachability** queries over that graph
   (:meth:`ProjectFlow.functions_reaching` — the transitive closure of
   "can this function ever execute a call matching this predicate?");
-* per-function **lockset** facts (:meth:`ProjectFlow.holds_own_lock`,
-  :meth:`ProjectFlow.always_locked_methods`) following the repo's
-  ``self._lock`` / ``*_locked`` convention, closed interprocedurally
-  over same-class calls;
+* per-class and per-function **lock** facts following the repo's
+  ``self._lock`` / ``*_locked`` convention: whether a class owns a lock
+  and whether it is reentrant (:class:`FlowClass`),
+  :meth:`ProjectFlow.holds_own_lock`, and the same-class closures
+  :meth:`ProjectFlow.always_locked_methods` (must hold) and
+  :meth:`ProjectFlow.sometimes_locked_methods` (may hold);
 * a structured **dominator walk**
   (:func:`returns_with_dominators`) answering "which calls are
   guaranteed to have executed on *every* path from the function entry
@@ -113,7 +116,10 @@ class FlowClass:
     #: ``self.<attr>`` -> resolved class qname (constructor assignments
     #: anywhere in the class body, plus unwrapped type annotations)
     attr_types: Dict[str, str] = field(default_factory=dict)
+    #: ``__init__`` assigns ``self._lock``
     has_lock: bool = False
+    #: ... and that lock is a ``threading.RLock``
+    lock_reentrant: bool = False
 
 
 def calls_in(node: ast.AST) -> Set[str]:
@@ -140,6 +146,15 @@ def _annotation_class_name(annotation: ast.AST) -> Optional[str]:
         if outer.rsplit(".", 1)[-1] in ("Optional", "Final"):
             return _annotation_class_name(annotation.slice)
     return None
+
+
+def _expand(dotted: str, module_name: str, bindings: Dict[str, str]) -> str:
+    """The project qname a dotted spelling names in ``module_name``:
+    through an import binding when its first part is one, else local."""
+    first, _sep, rest = dotted.partition(".")
+    if first in bindings:
+        return bindings[first] + (f".{rest}" if rest else "")
+    return f"{module_name}.{dotted}"
 
 
 def returns_with_dominators(
@@ -225,10 +240,14 @@ class ProjectFlow:
         self.class_index: Dict[str, List[FlowClass]] = {}
         #: module name -> {local binding -> imported qname}
         self.imports: Dict[str, Dict[str, str]] = {}
+        #: annotated module global qname -> class qname
+        #: (``repro.observability.state.registry`` -> ``...MetricsRegistry``)
+        self.global_types: Dict[str, str] = {}
         #: resolved callee qname -> [CallSite]
         self.call_sites_of: Dict[str, List[CallSite]] = {}
         self._collect_definitions()
         self._collect_attr_types()
+        self._collect_global_types()
         self._collect_calls()
 
     # -- pass 1: definitions and imports ----------------------------------
@@ -283,19 +302,19 @@ class ProjectFlow:
                 )
                 cls.methods[item.name] = info
                 self.functions[method_qname] = info
+                if item.name != "__init__":
+                    continue
                 for stmt in ast.walk(item):
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Attribute)
-                            and t.attr == "_lock"
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"
-                            for t in stmt.targets
-                        )
-                        and item.name == "__init__"
+                    if isinstance(stmt, ast.Assign) and any(
+                        dotted_name(t) == "self._lock" for t in stmt.targets
                     ):
+                        ctor = stmt.value
+                        if isinstance(ctor, ast.Call):
+                            ctor = ctor.func
                         cls.has_lock = True
+                        cls.lock_reentrant = (
+                            dotted_name(ctor) or ""
+                        ).endswith("RLock")
         self.classes[qname] = cls
         self.class_index.setdefault(node.name, []).append(cls)
 
@@ -360,6 +379,22 @@ class ProjectFlow:
                     if resolved is not None:
                         cls.attr_types.setdefault(target.attr, resolved)
 
+    def _collect_global_types(self) -> None:
+        for module in self.context.modules:
+            bindings = self.imports.get(module.module_name, {})
+            for stmt in module.tree.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name
+                ):
+                    resolved = self._resolve_class_name(
+                        _annotation_class_name(stmt.annotation),
+                        module,
+                        bindings,
+                    )
+                    if resolved is not None:
+                        qname = f"{module.module_name}.{stmt.target.id}"
+                        self.global_types[qname] = resolved
+
     def _resolve_class_name(
         self,
         name: Optional[str],
@@ -412,20 +447,28 @@ class ProjectFlow:
     def _local_ctor_bindings(
         self, info: FunctionInfo, bindings: Dict[str, str]
     ) -> Dict[str, str]:
-        """Locals assigned a resolvable constructor (``w = WalWriter(..)``)."""
+        """Locals assigned a resolvable constructor (``w = WalWriter(..)``)
+        or a typed module global (``reg = _obs.registry``)."""
         out: Dict[str, str] = {}
         for node in ast.walk(info.node):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
-                if isinstance(target, ast.Name) and isinstance(
-                    node.value, ast.Call
-                ):
+                if not isinstance(target, ast.Name):
+                    continue
+                resolved: Optional[str] = None
+                if isinstance(node.value, ast.Call):
                     ctor = dotted_name(node.value.func)
                     resolved = self._resolve_class_name(
                         ctor, info.module, bindings
                     )
-                    if resolved is not None:
-                        out[target.id] = resolved
+                else:
+                    source = dotted_name(node.value)
+                    if source is not None:
+                        resolved = self.global_types.get(
+                            _expand(source, info.module.module_name, bindings)
+                        )
+                if resolved is not None:
+                    out[target.id] = resolved
         return out
 
     def _resolve_call(
@@ -453,12 +496,16 @@ class ProjectFlow:
         # A local variable holding a constructed instance.
         if first in locals_map and rest and "." not in rest:
             return self._method_qname(locals_map[first], rest)
-        # An imported binding (module, class or function).
-        if first in bindings:
-            full = bindings[first] + (f".{rest}" if rest else "")
-            return self._lookup_callable(full)
-        # A name defined in this module.
-        return self._lookup_callable(f"{module_name}.{raw}")
+        # An imported binding (module, class or function) or a name
+        # defined in this module...
+        full = _expand(raw, module_name, bindings)
+        found = self._lookup_callable(full)
+        if found is None:
+            # ...or a method on a typed module global.
+            receiver, _sep, name = full.rpartition(".")
+            if receiver in self.global_types:
+                found = self._method_qname(self.global_types[receiver], name)
+        return found
 
     def _method_qname(
         self, class_qname: str, method: str
@@ -531,6 +578,21 @@ class ProjectFlow:
         lock is held.  Methods with no resolved call sites stay out —
         no evidence, no credit.
         """
+        return self._locked_closure(class_qname, all)
+
+    def sometimes_locked_methods(self, class_qname: str) -> Set[str]:
+        """Methods of ``class_qname`` that *may* run with its own lock
+        held: the ``*_locked`` helpers plus, to a fixpoint, every method
+        with at least one same-class ``self.m()`` call site that holds
+        the lock.  The may-hold dual of :meth:`always_locked_methods`,
+        for rules (lock order) where one locked path is enough."""
+        return self._locked_closure(class_qname, any)
+
+    def _locked_closure(
+        self,
+        class_qname: str,
+        quantifier: Callable[[Iterable[bool]], bool],
+    ) -> Set[str]:
         cls = self.classes.get(class_qname)
         if cls is None:
             return set()
@@ -546,7 +608,7 @@ class ProjectFlow:
                 sites = self.call_sites_of.get(method.qname, [])
                 if not sites:
                     continue
-                if all(
+                if quantifier(
                     site.caller.class_qname == class_qname
                     and site.raw == f"self.{name}"
                     and (
@@ -563,7 +625,7 @@ class ProjectFlow:
 def get_flow(context: Any) -> ProjectFlow:
     """The memoised :class:`ProjectFlow` for this analysis run.
 
-    Four checkers share one flow; the engine's ``ProjectContext`` holds
+    Five checkers share one flow; the engine's ``ProjectContext`` holds
     the cache so a fresh run (fresh context) rebuilds from scratch.
     """
     cache: Dict[str, Any] = context.flow_cache

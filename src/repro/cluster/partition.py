@@ -112,7 +112,7 @@ class ShardStats:
         the query; any positive count is only an upper bound on the
         shard's contribution.
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         slack = self._slack(pivot_dist, radius)
         lo = float(pivot_dist) - float(radius) - slack
@@ -124,7 +124,7 @@ class ShardStats:
     def expected_matches(self, pivot_dist: float, radius: float) -> float:
         """Cost-model estimate of the shard's result contribution:
         ``n_i * (F_i(d + r) - F_i(d - r))`` on the per-shard RDD."""
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         upper = float(self.rdd.cdf(pivot_dist + radius))
         lower = float(self.rdd.cdf(max(0.0, pivot_dist - radius)))

@@ -69,7 +69,7 @@ class ComplexRangeCostModel:
         if not radii:
             raise InvalidParameterError("need at least one predicate radius")
         for radius in radii:
-            if radius < 0:
+            if not (radius >= 0):
                 raise InvalidParameterError(
                     f"radius must be >= 0, got {radius}"
                 )

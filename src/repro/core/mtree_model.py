@@ -215,9 +215,9 @@ class NodeBasedCostModel(MTreeCostModel):
         if not node_stats:
             raise InvalidParameterError("node_stats must not be empty")
         for stat in node_stats:
-            if stat.radius < 0:
+            if not (stat.radius >= 0):
                 raise InvalidParameterError(
-                    f"negative covering radius in stats: {stat!r}"
+                    f"negative or NaN covering radius in stats: {stat!r}"
                 )
             if stat.n_entries < 1:
                 raise InvalidParameterError(
@@ -278,9 +278,9 @@ class LevelBasedCostModel(MTreeCostModel):
         for stat in ordered:
             if stat.n_nodes < 1:
                 raise InvalidParameterError(f"empty level in stats: {stat!r}")
-            if stat.avg_radius < 0:
+            if not (stat.avg_radius >= 0):
                 raise InvalidParameterError(
-                    f"negative average radius in stats: {stat!r}"
+                    f"negative or NaN average radius in stats: {stat!r}"
                 )
         self.level_stats = ordered
         self._level_nodes = np.array(

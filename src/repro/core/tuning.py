@@ -98,7 +98,7 @@ class NodeSizeTuner:
 
         if not node_sizes_kb:
             raise InvalidParameterError("node_sizes_kb must not be empty")
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         points: List[NodeSizeSweepPoint] = []
         for size_kb in node_sizes_kb:

@@ -198,7 +198,7 @@ class QuerySensitiveCostModel:
 
     def _access_probs(self, query: Any, radius: float) -> np.ndarray:
         """Per-node access probabilities for ``range(query, radius)``."""
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         deltas = np.asarray(
             self.metric.one_to_many(query, self.viewpoint_set.viewpoints),
@@ -259,7 +259,7 @@ class QuerySensitiveCostModel:
         correlation; kept for comparison and for statistics shipped
         without routing objects.
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         hist = self.blend_histogram(query)
         probs = np.asarray(hist.cdf(self._radii + radius))

@@ -49,7 +49,7 @@ def vp_root_children_accessed(
     query, with cutoffs at the ``i/m`` quantiles of ``F``."""
     if arity < 2:
         raise InvalidParameterError(f"arity must be >= 2, got {arity}")
-    if radius < 0:
+    if not (radius >= 0):
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     total = 0.0
     for i in range(1, arity + 1):
@@ -90,7 +90,7 @@ class VPTreeCostModel:
 
         Equals the expected number of accessed nodes (``e(N) = 1``).
         """
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         memo: Optional[Dict[Tuple[float, int], float]] = (
             {} if self.memoize else None

@@ -45,7 +45,7 @@ class RoutingEntry:
         child: "Node",
         dist_to_parent: float = 0.0,
     ):
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(
                 f"covering radius must be >= 0, got {radius}"
             )

@@ -163,7 +163,7 @@ class SimilarityQueryOptimizer:
 
     def choose_range_plan(self, radius: float) -> PlanChoice:
         """Rank plans for ``range(Q, radius)`` by predicted total cost."""
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         return self._choose(
             lambda plan: plan.estimate_range(radius, self.disk),

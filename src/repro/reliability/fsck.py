@@ -314,12 +314,14 @@ def check_mtree_unit(
             )
             continue
         radius = getattr(entry, "radius", None)
-        if radius is not None and radius < 0:
+        if radius is not None and not (radius >= 0):
+            # NaN fails every pruning comparison, so it is reported with
+            # the negative radii: no other check can see it.
             faults.append(
                 StructuralFault(
                     "negative_radius",
                     f"{unit.where}[{pos}]",
-                    f"covering radius {radius} is negative",
+                    f"covering radius {radius} is not >= 0",
                     node_id=id(node),
                 )
             )

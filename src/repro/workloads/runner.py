@@ -382,7 +382,7 @@ class LinearScanBaseline:
 
     def range_query(self, query: Any, radius: float):
         """Return (matches, nodes_accessed, dists_computed)."""
-        if radius < 0:
+        if not (radius >= 0):
             raise InvalidParameterError(f"radius must be >= 0, got {radius}")
         distances = np.asarray(self.metric.one_to_many(query, self.objects))
         matches = [

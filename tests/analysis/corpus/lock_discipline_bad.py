@@ -1,4 +1,4 @@
-"""Seeded lock-discipline violations: mutation outside the lock."""
+"""Seeded lockset-race violations: plain writes outside the lock."""
 
 import threading
 

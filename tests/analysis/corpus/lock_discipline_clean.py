@@ -1,4 +1,4 @@
-"""Lock-discipline conventions done right: no findings expected."""
+"""Lock conventions done right: no lockset-race findings expected."""
 
 import threading
 

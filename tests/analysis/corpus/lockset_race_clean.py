@@ -2,9 +2,9 @@
 
 ``_append_impl`` is a plain-named helper mutating guarded state, but
 every one of its call sites holds the lock — the flow core's
-always-held fixpoint proves it, so lockset-race stays silent where the
-older same-method heuristic (lock-discipline) cannot see past the
-function boundary.
+always-held fixpoint proves it, so lockset-race stays silent where a
+same-method heuristic (is the write under a ``with``?) cannot see past
+the function boundary.
 """
 
 import threading

@@ -69,12 +69,12 @@ def test_list_rules(capsys):
         "epoch-fence",
         "exception-hierarchy",
         "float-discipline",
-        "lock-discipline",
         "lock-order",
         "lockset-race",
         "observability-guard",
     ):
         assert rule in out
+    assert "lock-discipline" not in out
 
 
 def test_write_baseline_round_trip(tmp_path, capsys):

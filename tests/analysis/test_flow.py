@@ -272,6 +272,20 @@ class TestLiveRepoFacts:
         assert "repro.ingest.wal.WalWriter.append_batch" in durable
         assert "repro.persistence._atomic_write_text" in durable
 
+    def test_registry_global_receivers_resolve(self):
+        """``state.registry`` is typed by its annotation, so both the
+        direct spelling and a local snapshot of it reach the class."""
+        flow = self._live_flow()
+        inc = "repro.observability.registry.MetricsRegistry.inc"
+        sites = {
+            (site.caller.qname, site.raw) for site in flow.call_sites_of[inc]
+        }
+        assert (
+            "repro.reliability.integrity.loads_artifact",
+            "_obs.registry.inc",
+        ) in sites
+        assert ("repro.ingest.wal.WalWriter._rotate_locked", "reg.inc") in sites
+
     def test_ingest_append_is_dominated_by_wal_append(self):
         flow = self._live_flow()
         info = flow.functions["repro.ingest.service.IngestService.append"]

@@ -74,7 +74,7 @@ class TestSuppressions:
             "case.py",
             FLOAT_BAD.replace(
                 "dist == threshold",
-                "dist == threshold  # metalint: ignore[lock-discipline]",
+                "dist == threshold  # metalint: ignore[lock-order]",
             ),
         )
         report = analyze_paths([path], rules=["float-discipline"], root=tmp_path)
@@ -273,7 +273,6 @@ class TestRegistryAndEngine:
             "epoch-fence",
             "exception-hierarchy",
             "float-discipline",
-            "lock-discipline",
             "lock-order",
             "lockset-race",
             "observability-guard",

@@ -148,5 +148,11 @@ def test_parameter_validation(data):
         stats.candidate_count(0.5, -0.1)
     with pytest.raises(InvalidParameterError):
         stats.expected_matches(0.5, -0.1)
+    # A NaN radius must not count zero candidates: that is a false proof
+    # that the shard holds no match.
+    with pytest.raises(InvalidParameterError):
+        stats.candidate_count(0.5, float("nan"))
+    with pytest.raises(InvalidParameterError):
+        stats.expected_matches(0.5, float("nan"))
     with pytest.raises(InvalidParameterError):
         stats.knn_upper_bounds(0.5, 0)

@@ -175,6 +175,8 @@ class TestComplexCostModel:
             model.costs([], mode="and")
         with pytest.raises(InvalidParameterError):
             model.costs([-0.1], mode="and")
+        with pytest.raises(InvalidParameterError):
+            model.costs([0.1, float("nan")], mode="and")
         hist = DistanceHistogram.uniform(10, 1.0)
         with pytest.raises(InvalidParameterError):
             ComplexRangeCostModel(hist, [], 10)

@@ -92,6 +92,7 @@ class TestNodeBased:
             [],
             [NodeStat(radius=-0.1, n_entries=3, level=1)],
             [NodeStat(radius=0.5, n_entries=0, level=1)],
+            [NodeStat(radius=float("nan"), n_entries=3, level=1)],
         ],
     )
     def test_invalid_stats(self, hist, bad_stats):
@@ -162,6 +163,15 @@ class TestLevelBased:
                     LevelStat(level=1, n_nodes=1, avg_radius=1.0),
                     LevelStat(level=3, n_nodes=2, avg_radius=0.4),
                 ],
+                n_objects=10,
+            )
+
+    @pytest.mark.parametrize("avg_radius", [-0.1, float("nan")])
+    def test_invalid_avg_radius_rejected(self, hist, avg_radius):
+        with pytest.raises(InvalidParameterError):
+            LevelBasedCostModel(
+                hist,
+                [LevelStat(level=1, n_nodes=1, avg_radius=avg_radius)],
                 n_objects=10,
             )
 

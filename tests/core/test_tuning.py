@@ -83,6 +83,8 @@ class TestSweep:
             tuner.sweep([], radius=0.1)
         with pytest.raises(InvalidParameterError):
             tuner.sweep([4.0], radius=-0.1)
+        with pytest.raises(InvalidParameterError):
+            tuner.sweep([4.0], radius=float("nan"))
 
     def test_too_few_objects_rejected(self, tuner_setup):
         data, _tuner = tuner_setup

@@ -129,8 +129,11 @@ class TestQuerySensitiveModel:
 
     def test_negative_radius_rejected(self, model, bimodal):
         _points, tight, _s, _m, _tree = bimodal
-        with pytest.raises(InvalidParameterError):
-            model.range_costs(tight[0], -0.1)
+        for radius in (-0.1, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                model.range_costs(tight[0], radius)
+            with pytest.raises(InvalidParameterError):
+                model.range_costs_via_blend(tight[0], radius)
 
     def test_validation(self, bimodal):
         points, _t, _s, metric, tree = bimodal

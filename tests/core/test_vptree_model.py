@@ -51,6 +51,8 @@ class TestRootChildren:
             vp_root_children_accessed(uniform_hist, 1, 0.1)
         with pytest.raises(InvalidParameterError):
             vp_root_children_accessed(uniform_hist, 2, -0.1)
+        with pytest.raises(InvalidParameterError):
+            vp_root_children_accessed(uniform_hist, 2, float("nan"))
 
 
 class TestCostModel:
@@ -96,6 +98,8 @@ class TestCostModel:
         model = VPTreeCostModel(uniform_hist, 10, arity=2)
         with pytest.raises(InvalidParameterError):
             model.range_dists(-0.5)
+        with pytest.raises(InvalidParameterError):
+            model.range_dists(float("nan"))
 
     def test_nn_dists_monotone_in_k(self, uniform_hist):
         model = VPTreeCostModel(uniform_hist, 200, arity=3)

@@ -65,6 +65,11 @@ class TestSplitBasics:
             bound = metric.distance(outcome.first_obj, entry.obj) + entry.radius
             assert bound <= outcome.first_radius + 1e-9
 
+    @pytest.mark.parametrize("radius", [-0.1, float("nan")])
+    def test_routing_entry_rejects_invalid_radius(self, radius):
+        with pytest.raises(InvalidParameterError):
+            RoutingEntry(np.zeros(2), radius=radius, child=Node(is_leaf=True))
+
     def test_cannot_split_single_entry(self):
         entries = make_leaf_entries([[0.0, 0.0]])
         with pytest.raises(InvalidParameterError):

@@ -203,4 +203,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             optimizer.choose_range_plan(-0.1)
         with pytest.raises(InvalidParameterError):
+            optimizer.choose_range_plan(float("nan"))
+        with pytest.raises(InvalidParameterError):
             optimizer.choose_knn_plan(0)

@@ -10,7 +10,8 @@ from repro.__main__ import build_parser, main
 from repro.core import DistanceHistogram
 from repro.persistence import save_histogram
 from repro.reliability import render_doctor, run_doctor
-from repro.reliability.doctor import flip_body_bit
+from repro.analysis import all_rules
+from repro.reliability.doctor import _static_analysis, flip_body_bit
 
 EXPECTED_CHECKS = {
     "checksum round-trip",
@@ -69,6 +70,44 @@ class TestSelfTest:
         assert "doctor: healthy" in text
         for name in EXPECTED_CHECKS:
             assert name in text
+
+
+RACY_MODULE = """\
+import threading
+
+
+class Counter:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.total = 0
+
+    def record(self):
+        with self._lock:
+            self.total += 1
+
+    def forget(self):
+        self.total -= 1
+"""
+
+
+class TestStaticAnalysisWithoutRepo:
+    """A package with no ``metalint-baseline.json`` or ``docs/api.md``
+    above it is linted under every registered rule but ``api-surface``."""
+
+    def test_runs_every_code_rule(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "clean.py").write_text("x = 1\n", encoding="utf-8")
+        detail = _static_analysis(package)
+        expected = len([r for r in all_rules() if r != "api-surface"])
+        assert f"1 files under {expected} rules" in detail
+
+    def test_reports_lock_findings(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "racy.py").write_text(RACY_MODULE, encoding="utf-8")
+        with pytest.raises(AssertionError, match="lockset-race=1"):
+            _static_analysis(package)
 
 
 class TestArtifactScan:

@@ -112,6 +112,17 @@ def test_vptree_injection_detected(seed):
     assert "cutoff_violation" in report.kinds()
 
 
+@pytest.mark.parametrize("stored", [-0.1, float("nan")])
+def test_invalid_stored_radius_reported(stored):
+    # NaN passes every pruning comparison silently; fsck must still see it.
+    _, tree = make_mtree()
+    assert not tree.root.is_leaf
+    tree.root.entries[0].radius = stored
+    report = fsck_mtree(tree)
+    assert not report.ok
+    assert "negative_radius" in report.kinds()
+
+
 def test_report_raise_if_bad_carries_faults():
     _, tree = make_mtree()
     StructuralFaultInjector(seed=0).shrink_radius(tree)

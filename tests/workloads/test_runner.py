@@ -233,6 +233,8 @@ class TestLinearScanBaseline:
         with pytest.raises(InvalidParameterError):
             baseline.range_query(points[0], -0.1)
         with pytest.raises(InvalidParameterError):
+            baseline.range_query(points[0], float("nan"))
+        with pytest.raises(InvalidParameterError):
             baseline.knn_query(points[0], 0)
         with pytest.raises(InvalidParameterError):
             LinearScanBaseline(list(points), L2(), 100, 50)

@@ -553,111 +553,10 @@ def _run_doctor(args: argparse.Namespace) -> int:
     return 0 if payload["healthy"] else 1
 
 
-def _fsck_selftest(size: int, seed: int) -> dict:
-    """Inject every structural fault kind into seeded trees; record whether
-    fsck detected it (and, for M-trees, whether repair produced a clean
-    tree)."""
-    from .datasets import clustered_dataset
-    from .mtree import bulk_load, vector_layout
-    from .reliability import (
-        StructuralFaultInjector,
-        fsck_mtree,
-        fsck_page_graph,
-        fsck_vptree,
-        materialize_page_graph,
-        repair_mtree,
-    )
-    from .storage import PageStore
-    from .vptree import VPTree
-
-    cases = []
-
-    def build_mtree():
-        data = clustered_dataset(size=size, dim=3, seed=seed)
-        return bulk_load(
-            data.points, data.metric, vector_layout(3), seed=seed
-        )
-
-    for method, expected in (
-        ("shrink_radius", "radius_violation"),
-        ("skew_parent_distance", "parent_distance_skew"),
-        ("drop_entry", "object_count_mismatch"),
-    ):
-        tree = build_mtree()
-        clean_before = fsck_mtree(tree).ok
-        getattr(StructuralFaultInjector(seed=seed), method)(tree)
-        report = fsck_mtree(tree)
-        detected = expected in report.kinds()
-        repaired = repair_mtree(tree, seed=seed).ok
-        cases.append(
-            {
-                "name": f"mtree.{method}",
-                "expected": expected,
-                "clean_before": clean_before,
-                "detected": detected,
-                "detected_kinds": report.kinds(),
-                "repaired": repaired,
-                "ok": clean_before and detected and repaired,
-            }
-        )
-
-    data = clustered_dataset(size=size, dim=3, seed=seed)
-    vtree = VPTree.build(
-        list(data.points), data.metric, arity=3, seed=seed
-    )
-    clean_before = fsck_vptree(vtree).ok
-    StructuralFaultInjector(seed=seed).shrink_cutoff(vtree)
-    report = fsck_vptree(vtree)
-    detected = "cutoff_violation" in report.kinds()
-    cases.append(
-        {
-            "name": "vptree.shrink_cutoff",
-            "expected": "cutoff_violation",
-            "clean_before": clean_before,
-            "detected": detected,
-            "detected_kinds": report.kinds(),
-            "repaired": None,
-            "ok": clean_before and detected,
-        }
-    )
-
-    for method, expected in (
-        ("inject_orphan_page", "orphan_page"),
-        ("inject_dangling_ref", "dangling_page_ref"),
-        ("inject_page_alias", "doubly_referenced_page"),
-    ):
-        tree = build_mtree()
-        store = PageStore(page_size_bytes=4096)
-        root = materialize_page_graph(tree, store)
-        clean_before = fsck_page_graph(store, root).ok
-        getattr(StructuralFaultInjector(seed=seed), method)(store)
-        report = fsck_page_graph(store, root)
-        detected = expected in report.kinds()
-        cases.append(
-            {
-                "name": f"pages.{method}",
-                "expected": expected,
-                "clean_before": clean_before,
-                "detected": detected,
-                "detected_kinds": report.kinds(),
-                "repaired": None,
-                "ok": clean_before and detected,
-            }
-        )
-
-    return {
-        "mode": "selftest",
-        "seed": seed,
-        "size": size,
-        "healthy": all(c["ok"] for c in cases),
-        "cases": cases,
-    }
-
-
 def _run_fsck(args: argparse.Namespace) -> int:
     import json
 
-    from .reliability import fsck_mtree, fsck_vptree
+    from .reliability import fsck_mtree, fsck_selftest, fsck_vptree
 
     if args.mtree is not None and args.vptree is not None:
         print("choose one of --mtree / --vptree, not both", file=sys.stderr)
@@ -666,7 +565,11 @@ def _run_fsck(args: argparse.Namespace) -> int:
         from .metrics import L1, L2, LInf
         from .persistence import load_mtree, load_vptree
 
-        from .exceptions import MetricostError
+        from .exceptions import (
+            DeadlineExceededError,
+            MetricostError,
+            OperationCancelledError,
+        )
 
         metric = {"l2": L2, "l1": L1, "linf": LInf}[args.metric]()
         try:
@@ -676,6 +579,9 @@ def _run_fsck(args: argparse.Namespace) -> int:
             else:
                 tree = load_vptree(args.vptree, metric, strict=args.strict)
                 report = fsck_vptree(tree)
+        except (DeadlineExceededError, OperationCancelledError):
+            # A cancelled check stops; it is not a failed tree.
+            raise
         except (MetricostError, OSError) as exc:
             # A tree that cannot even be loaded is as failed as fsck
             # gets: report it the same way, machine-readably on request.
@@ -695,7 +601,7 @@ def _run_fsck(args: argparse.Namespace) -> int:
         else:
             print(report.render())
         return 0 if report.ok else 1
-    payload = _fsck_selftest(size=args.size, seed=args.seed)
+    payload = fsck_selftest(size=args.size, seed=args.seed)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

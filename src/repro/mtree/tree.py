@@ -1241,67 +1241,19 @@ class MTree:
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation.
 
-        * every object lies within the covering radius of each ancestor
-          routing entry (with a tiny float tolerance);
-        * all leaves are at the same depth;
-        * no node exceeds its capacity; internal nodes have >= 2 entries
-          (except a leaf root);
-        * stored parent distances match recomputed ones;
-        * every cached kernel block (:meth:`Node.block`) equals
-          ``metric.encode`` of the node's current objects.
+        The invariants are exactly those of
+        :func:`~repro.reliability.fsck_mtree` (containment, parent
+        distances, entry types, capacities, balance, accounting), plus
+        one the fsck cannot see: every cached kernel block
+        (:meth:`Node.block`) equals ``metric.encode`` of the node's
+        current objects.
         """
-        if self._root is None:
-            return
-        leaf_depths: List[int] = []
-        eps = 1e-7
+        from ..reliability.fsck import fsck_mtree
 
-        def walk(node: Node, ancestors: List[Tuple[Any, float]], depth: int):
-            assert len(node.entries) <= self._capacity(node), (
-                f"node with {len(node.entries)} entries exceeds capacity "
-                f"{self._capacity(node)}"
-            )
+        report = fsck_mtree(self)
+        assert report.ok, report.render()
+        for node in self.iter_nodes():
             block = node.cached_block(self.metric)
             if block is not None:
                 fresh = self.metric.encode([entry.obj for entry in node.entries])
                 assert _same_block(block, fresh), "stale kernel block"
-            if node.is_leaf:
-                leaf_depths.append(depth)
-                for entry in node.entries:
-                    for routing_obj, radius in ancestors:
-                        dist = self.metric.distance(entry.obj, routing_obj)
-                        assert dist <= radius * (1 + eps) + eps, (
-                            f"object {entry.oid} at distance {dist} escapes "
-                            f"covering radius {radius}"
-                        )
-                    if ancestors:
-                        expected = self.metric.distance(
-                            entry.obj, ancestors[-1][0]
-                        )
-                        assert abs(entry.dist_to_parent - expected) <= eps * (
-                            1 + expected
-                        ), "stale leaf parent distance"
-            else:
-                assert len(node.entries) >= 2 or node is self._root, (
-                    "internal node with fewer than 2 entries"
-                )
-                for entry in node.entries:
-                    assert isinstance(entry, RoutingEntry)
-                    if ancestors:
-                        expected = self.metric.distance(
-                            entry.obj, ancestors[-1][0]
-                        )
-                        assert abs(entry.dist_to_parent - expected) <= eps * (
-                            1 + expected
-                        ), "stale routing parent distance"
-                    walk(
-                        entry.child,
-                        ancestors + [(entry.obj, entry.radius)],
-                        depth + 1,
-                    )
-
-        walk(self._root, [], 1)
-        assert len(set(leaf_depths)) == 1, f"unbalanced leaves: {set(leaf_depths)}"
-        total = sum(1 for _ in self.iter_objects())
-        assert total == self._n_objects, (
-            f"object count mismatch: {total} stored vs {self._n_objects} tracked"
-        )

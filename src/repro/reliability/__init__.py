@@ -44,6 +44,7 @@ from .fsck import (
     fsck_ingest,
     fsck_mtree,
     fsck_page_graph,
+    fsck_selftest,
     fsck_vptree,
     materialize_page_graph,
     mtree_scrub_units,
@@ -98,6 +99,7 @@ __all__ = [
     "materialize_page_graph",
     "fsck_page_graph",
     "fsck_ingest",
+    "fsck_selftest",
     "RepairOutcome",
     "repair_mtree",
     "repair_vptree",

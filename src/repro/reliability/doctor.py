@@ -331,37 +331,18 @@ def _self_test(seed: int) -> List[DoctorCheck]:
         )
 
     def structural_fsck() -> str:
-        # Inject each structural fault kind into its own seeded tree and
-        # require the fsck to find it; then repair and require clean.
-        from .faults import StructuralFaultInjector
-        from .fsck import fsck_mtree, repair_mtree
+        # The inject -> detect -> repair table of `python -m repro fsck`.
+        from .fsck import fsck_selftest
 
-        points = rng.random((250, 3))
-        metric = L2()
-        detected = []
-        for method in (
-            "shrink_radius",
-            "skew_parent_distance",
-            "drop_entry",
-        ):
-            tree = bulk_load(points, metric, vector_layout(3), seed=seed)
-            if not fsck_mtree(tree).ok:
-                raise AssertionError("fresh bulkloaded tree failed fsck")
-            injected = getattr(StructuralFaultInjector(seed), method)(tree)
-            report = fsck_mtree(tree)
-            if injected["kind"] not in report.kinds():
-                raise AssertionError(
-                    f"{method} injected {injected['kind']} but fsck found "
-                    f"only {report.kinds()}"
-                )
-            outcome = repair_mtree(tree, seed=seed)
-            if not outcome.ok:
-                raise AssertionError(f"repair after {method} not clean")
-            detected.append(injected["kind"])
+        cases = fsck_selftest(seed=seed)["cases"]
+        failed = [case["name"] for case in cases if not case["ok"]]
+        if failed:
+            raise AssertionError(f"fsck self-test cases failed: {failed}")
+        repairs = sum(case["repaired"] is not None for case in cases)
         return (
-            f"injected {len(detected)} structural fault kinds "
-            f"({', '.join(sorted(set(detected)))}); fsck caught each and "
-            "repair came back clean"
+            f"injected {len(cases)} structural faults (M-tree, vp-tree, "
+            f"page graph); fsck caught each and all {repairs} tree "
+            "repairs came back clean"
         )
 
     def scrub_quarantine() -> str:

@@ -40,8 +40,18 @@ checks, now".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..exceptions import (
     DeadlineExceededError,
@@ -67,6 +77,7 @@ __all__ = [
     "RepairOutcome",
     "repair_mtree",
     "repair_vptree",
+    "fsck_selftest",
 ]
 
 #: Default relative/absolute tolerance for distance comparisons — floats
@@ -367,9 +378,60 @@ def check_mtree_unit(
     return faults
 
 
-def _mtree_global_faults(tree: Any, units: Sequence[ScrubUnit]):
-    """Shape + accounting checks that need the whole walk: balance,
-    object count, duplicate oids, doubly-referenced nodes."""
+def _global_faults(
+    tree: Any,
+    units: Sequence[ScrubUnit],
+    children: Callable[[Any], Iterable[Any]],
+    oids: Callable[[Any], Iterable[int]],
+) -> Tuple[List[StructuralFault], int]:
+    """Whole-tree checks shared by every tree kind: each node reachable
+    through exactly one parent, each oid stored once, and the stored
+    object count equal to the tree's.  ``children(node)`` and
+    ``oids(node)`` give one node's child nodes and stored oids; returns
+    the faults and the number of objects seen."""
+    faults: List[StructuralFault] = []
+    ref_counts: Counter = Counter(
+        id(child) for unit in units for child in children(unit.node)
+    )
+    for unit in units:
+        if ref_counts[id(unit.node)] > 1:
+            faults.append(
+                StructuralFault(
+                    "doubly_referenced_page",
+                    unit.where,
+                    f"node referenced by {ref_counts[id(unit.node)]} parents",
+                    node_id=id(unit.node),
+                )
+            )
+    oid_counts: Counter = Counter(
+        oid for unit in units for oid in oids(unit.node)
+    )
+    dupes = sorted(oid for oid, count in oid_counts.items() if count > 1)
+    if dupes:
+        faults.append(
+            StructuralFault(
+                "duplicate_oid",
+                "root",
+                f"oids stored more than once: {dupes[:10]}",
+            )
+        )
+    n_objects = sum(oid_counts.values())
+    if n_objects != len(tree):
+        faults.append(
+            StructuralFault(
+                "object_count_mismatch",
+                "root",
+                f"{n_objects} objects stored but the tree claims "
+                f"{len(tree)} (dropped or duplicated entries)",
+            )
+        )
+    return faults, n_objects
+
+
+def _mtree_global_faults(
+    tree: Any, units: Sequence[ScrubUnit]
+) -> Tuple[List[StructuralFault], int]:
+    """Balance plus :func:`_global_faults` for an M-tree walk."""
     faults: List[StructuralFault] = []
     leaf_depths = {unit.depth for unit in units if unit.node.is_leaf}
     if len(leaf_depths) > 1:
@@ -381,50 +443,23 @@ def _mtree_global_faults(tree: Any, units: Sequence[ScrubUnit]):
                 "an M-tree is balanced by construction",
             )
         )
-    # Reference sweep: every child must be reachable through exactly one
-    # routing entry.
-    ref_counts: Dict[int, int] = {}
-    for unit in units:
-        if unit.node.is_leaf:
-            continue
-        for entry in unit.node.entries:
-            child = getattr(entry, "child", None)
-            if child is not None:
-                ref_counts[id(child)] = ref_counts.get(id(child), 0) + 1
-    for unit in units:
-        if ref_counts.get(id(unit.node), 0) > 1:
-            faults.append(
-                StructuralFault(
-                    "doubly_referenced_page",
-                    unit.where,
-                    f"node referenced by {ref_counts[id(unit.node)]} "
-                    "routing entries",
-                    node_id=id(unit.node),
-                )
-            )
-    oids: List[int] = []
-    for unit in units:
-        if unit.node.is_leaf:
-            oids.extend(entry.oid for entry in unit.node.entries)
-    if len(set(oids)) != len(oids):
-        dupes = sorted({oid for oid in oids if oids.count(oid) > 1})
-        faults.append(
-            StructuralFault(
-                "duplicate_oid",
-                "root",
-                f"oids stored more than once: {dupes[:10]}",
-            )
-        )
-    if len(oids) != len(tree):
-        faults.append(
-            StructuralFault(
-                "object_count_mismatch",
-                "root",
-                f"{len(oids)} objects stored but the tree claims "
-                f"{len(tree)} (dropped or duplicated entries)",
-            )
-        )
-    return faults, len(oids)
+    shared, n_objects = _global_faults(
+        tree,
+        units,
+        lambda node: [
+            e.child
+            for e in node.entries
+            if getattr(e, "child", None) is not None
+        ],
+        # A routing entry misplaced in a leaf stores no object; the unit
+        # check reports it as an entry_type_mismatch.
+        lambda node: (
+            [e.oid for e in node.entries if hasattr(e, "oid")]
+            if node.is_leaf
+            else []
+        ),
+    )
+    return faults + shared, n_objects
 
 
 def fsck_mtree(
@@ -439,21 +474,7 @@ def fsck_mtree(
     the :class:`~repro.reliability.scrub.Scrubber` for the resumable
     background variant.
     """
-    report = FsckReport(tree_kind="mtree")
-    units = mtree_scrub_units(tree)
-    for unit in units:
-        if deadline is not None:
-            deadline.check("mtree fsck")
-        report.faults.extend(check_mtree_unit(tree, unit, tolerance))
-        report.nodes_checked += 1
-    global_faults, n_objects = _mtree_global_faults(tree, units)
-    report.faults.extend(global_faults)
-    report.objects_seen = n_objects
-    _mirror_faults(report.faults)
-    reg = _obs.registry
-    if reg is not None:
-        reg.inc("reliability.fsck_runs", kind="mtree")
-    return report
+    return _fsck_tree("mtree", tree, tolerance, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -546,60 +567,53 @@ def check_vptree_unit(
     return faults
 
 
+def _vptree_global_faults(
+    tree: Any, units: Sequence[ScrubUnit]
+) -> Tuple[List[StructuralFault], int]:
+    """:func:`_global_faults` for a vp-tree walk (one object per node)."""
+    return _global_faults(
+        tree,
+        units,
+        lambda node: [child for child in node.children if child is not None],
+        lambda node: [node.oid],
+    )
+
+
 def fsck_vptree(
     tree: Any,
     tolerance: float = DEFAULT_TOLERANCE,
     deadline: Optional[Any] = None,
 ) -> FsckReport:
     """Full structural verification of a vp-tree."""
-    report = FsckReport(tree_kind="vptree")
-    units = vptree_scrub_units(tree)
+    return _fsck_tree("vptree", tree, tolerance, deadline)
+
+
+# Per tree kind: the walk into units, the per-unit check and the
+# whole-tree check.  fsck runs all three at once; the
+# :class:`~repro.reliability.scrub.Scrubber` runs them a unit at a time.
+_TREE_CHECKS: Dict[str, Tuple[Callable, Callable, Callable]] = {
+    "mtree": (mtree_scrub_units, check_mtree_unit, _mtree_global_faults),
+    "vptree": (vptree_scrub_units, check_vptree_unit, _vptree_global_faults),
+}
+
+
+def _fsck_tree(
+    kind: str, tree: Any, tolerance: float, deadline: Optional[Any]
+) -> FsckReport:
+    walk, check_unit, global_faults = _TREE_CHECKS[kind]
+    report = FsckReport(tree_kind=kind)
+    units = walk(tree)
     for unit in units:
         if deadline is not None:
-            deadline.check("vptree fsck")
-        report.faults.extend(check_vptree_unit(tree, unit, tolerance))
+            deadline.check(f"{kind} fsck")
+        report.faults.extend(check_unit(tree, unit, tolerance))
         report.nodes_checked += 1
-    # One object per node; reference sweep mirrors the M-tree one.
-    ref_counts: Dict[int, int] = {}
-    for unit in units:
-        for child in unit.node.children:
-            if child is not None:
-                ref_counts[id(child)] = ref_counts.get(id(child), 0) + 1
-    for unit in units:
-        if ref_counts.get(id(unit.node), 0) > 1:
-            report.faults.append(
-                StructuralFault(
-                    "doubly_referenced_page",
-                    unit.where,
-                    f"node referenced by {ref_counts[id(unit.node)]} "
-                    "parents",
-                    node_id=id(unit.node),
-                )
-            )
-    oids = [unit.node.oid for unit in units]
-    if len(set(oids)) != len(oids):
-        dupes = sorted({oid for oid in oids if oids.count(oid) > 1})
-        report.faults.append(
-            StructuralFault(
-                "duplicate_oid",
-                "root",
-                f"oids stored more than once: {dupes[:10]}",
-            )
-        )
-    if len(oids) != len(tree):
-        report.faults.append(
-            StructuralFault(
-                "object_count_mismatch",
-                "root",
-                f"{len(oids)} objects stored but the tree claims "
-                f"{len(tree)}",
-            )
-        )
-    report.objects_seen = len(oids)
+    faults, report.objects_seen = global_faults(tree, units)
+    report.faults.extend(faults)
     _mirror_faults(report.faults)
     reg = _obs.registry
     if reg is not None:
-        reg.inc("reliability.fsck_runs", kind="vptree")
+        reg.inc("reliability.fsck_runs", kind=kind)
     return report
 
 
@@ -761,6 +775,52 @@ class RepairOutcome:
         return "\n".join(lines)
 
 
+def _harvest(pairs: Iterable[Tuple[int, Any]]) -> Tuple[List[int], List[Any]]:
+    """The surviving ``(oid, object)`` pairs, de-duplicated by oid and
+    sorted by it."""
+    recovered: Dict[int, Any] = {}
+    for oid, obj in pairs:
+        recovered.setdefault(oid, obj)
+    oids = sorted(recovered)
+    return oids, [recovered[oid] for oid in oids]
+
+
+def _commit_repair(
+    tree: Any,
+    rebuilt: Any,
+    n_recovered: int,
+    fsck: Callable[[Any], FsckReport],
+    to_dict: Callable[[Any, Any], Dict[str, Any]],
+    quarantine: Optional[Any],
+    store: Optional[Any],
+    artifact_name: str,
+    encode: Optional[Any],
+) -> RepairOutcome:
+    """The tail both repairs share: fsck ``rebuilt``; if clean, commit it
+    to ``store`` (serialised by ``to_dict``) and clear ``quarantine``."""
+    report = fsck(rebuilt)
+    generation = None
+    if store is not None and report.ok:
+        from ..persistence import _default_encode
+        from .integrity import dumps_artifact
+
+        text = dumps_artifact(to_dict(rebuilt, encode or _default_encode))
+        store.save({artifact_name: text})
+        generation = store.generation
+    if quarantine is not None and report.ok:
+        quarantine.clear()
+    reg = _obs.registry
+    if reg is not None:
+        reg.inc("reliability.repairs", ok=report.ok)
+    return RepairOutcome(
+        tree=rebuilt,
+        n_recovered=n_recovered,
+        n_lost=max(0, len(tree) - n_recovered),
+        report=report,
+        generation=generation,
+    )
+
+
 def repair_mtree(
     tree: Any,
     seed: int = 0,
@@ -787,39 +847,15 @@ def repair_mtree(
     ``quarantine`` is cleared once the rebuilt tree passes fsck.
     """
     from ..mtree.bulkload import bulk_load
+    from ..persistence import mtree_to_dict
 
-    recovered: Dict[int, Any] = {}
-    for oid, obj in tree.iter_objects():
-        if oid not in recovered:
-            recovered[oid] = obj
-    oids = sorted(recovered)
-    objects = [recovered[oid] for oid in oids]
-    n_lost = max(0, len(tree) - len(oids))
-    new_tree = bulk_load(
+    oids, objects = _harvest(tree.iter_objects())
+    rebuilt = bulk_load(
         objects, tree.metric, tree.layout, seed=seed, oids=oids
     )
-    report = fsck_mtree(new_tree)
-    generation = None
-    if store is not None and report.ok:
-        from ..persistence import _default_encode, mtree_to_dict
-        from .integrity import dumps_artifact
-
-        text = dumps_artifact(
-            mtree_to_dict(new_tree, encode or _default_encode)
-        )
-        store.save({artifact_name: text})
-        generation = store.generation
-    if quarantine is not None and report.ok:
-        quarantine.clear()
-    reg = _obs.registry
-    if reg is not None:
-        reg.inc("reliability.repairs", ok=report.ok)
-    return RepairOutcome(
-        tree=new_tree,
-        n_recovered=len(oids),
-        n_lost=n_lost,
-        report=report,
-        generation=generation,
+    return _commit_repair(
+        tree, rebuilt, len(oids), fsck_mtree, mtree_to_dict,
+        quarantine, store, artifact_name, encode,
     )
 
 
@@ -844,22 +880,12 @@ def repair_vptree(
     generation; a non-empty ``quarantine`` is cleared once the rebuilt
     tree passes fsck.
     """
+    from ..persistence import vptree_to_dict
     from ..vptree.tree import VPTree
 
-    recovered: Dict[int, Any] = {}
-    stack = [tree.root] if tree.root is not None else []
-    visited: set = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        if node.oid not in recovered:
-            recovered[node.oid] = node.obj
-        stack.extend(c for c in node.children if c is not None)
-    oids = sorted(recovered)
-    objects = [recovered[oid] for oid in oids]
-    n_lost = max(0, len(tree) - len(oids))
+    oids, objects = _harvest(
+        (unit.node.oid, unit.node.obj) for unit in vptree_scrub_units(tree)
+    )
     rebuilt = VPTree.build(
         objects,
         tree.metric,
@@ -869,35 +895,96 @@ def repair_vptree(
     )
     # VPTree.build assigns positional oids; remap to the recovered ones.
     if oids != list(range(len(oids))):
-        remap = {pos: oid for pos, oid in enumerate(oids)}
-        nodes = [rebuilt.root] if rebuilt.root is not None else []
-        while nodes:
-            node = nodes.pop()
-            node.oid = remap[node.oid]
-            nodes.extend(c for c in node.children if c is not None)
-    report = fsck_vptree(rebuilt)
-    generation = None
-    if store is not None and report.ok:
-        from ..persistence import _default_encode, vptree_to_dict
-        from .integrity import dumps_artifact
-
-        text = dumps_artifact(
-            vptree_to_dict(rebuilt, encode or _default_encode)
-        )
-        store.save({artifact_name: text})
-        generation = store.generation
-    if quarantine is not None and report.ok:
-        quarantine.clear()
-    reg = _obs.registry
-    if reg is not None:
-        reg.inc("reliability.repairs", ok=report.ok)
-    return RepairOutcome(
-        tree=rebuilt,
-        n_recovered=len(oids),
-        n_lost=n_lost,
-        report=report,
-        generation=generation,
+        for unit in vptree_scrub_units(rebuilt):
+            unit.node.oid = oids[unit.node.oid]
+    return _commit_repair(
+        tree, rebuilt, len(oids), fsck_vptree, vptree_to_dict,
+        quarantine, store, artifact_name, encode,
     )
+
+
+# The self-test's inject -> detect table: ``(index kind, injector
+# method, the fault kind fsck must then report)``.
+_SELFTEST_CASES = (
+    ("mtree", "shrink_radius", "radius_violation"),
+    ("mtree", "skew_parent_distance", "parent_distance_skew"),
+    ("mtree", "drop_entry", "object_count_mismatch"),
+    ("vptree", "shrink_cutoff", "cutoff_violation"),
+    ("pages", "inject_orphan_page", "orphan_page"),
+    ("pages", "inject_dangling_ref", "dangling_page_ref"),
+    ("pages", "inject_page_alias", "doubly_referenced_page"),
+)
+
+
+def fsck_selftest(size: int = 300, seed: int = 0) -> Dict[str, Any]:
+    """Inject each of seven structural faults into its own seeded index
+    (``size`` clustered 3-d points) and record whether the index was
+    clean before, whether fsck detected the fault and, for the two tree
+    kinds, whether repair came back clean.
+
+    ``python -m repro fsck`` prints the result and the doctor's
+    "structural fsck" check requires it ``healthy``.
+    """
+    from ..datasets import clustered_dataset
+    from ..mtree import bulk_load, vector_layout
+    from ..storage import PageStore
+    from ..vptree import VPTree
+    from .faults import StructuralFaultInjector
+
+    data = clustered_dataset(size=size, dim=3, seed=seed)
+
+    def mtree() -> Any:
+        return bulk_load(
+            data.points, data.metric, vector_layout(3), seed=seed
+        )
+
+    def vptree() -> Any:
+        return VPTree.build(
+            list(data.points), data.metric, arity=3, seed=seed
+        )
+
+    def page_graph() -> Any:
+        store = PageStore(page_size_bytes=4096)
+        return store, materialize_page_graph(mtree(), store)
+
+    # kind -> (build, injection target, fsck, repair or None)
+    kinds: Dict[str, Tuple[Callable, ...]] = {
+        "mtree": (mtree, lambda tree: tree, fsck_mtree, repair_mtree),
+        "vptree": (vptree, lambda tree: tree, fsck_vptree, repair_vptree),
+        "pages": (
+            page_graph,
+            lambda graph: graph[0],
+            lambda graph: fsck_page_graph(*graph),
+            None,
+        ),
+    }
+    cases = []
+    for kind, method, expected in _SELFTEST_CASES:
+        build, target, fsck, repair = kinds[kind]
+        index = build()
+        clean_before = fsck(index).ok
+        getattr(StructuralFaultInjector(seed=seed), method)(target(index))
+        report = fsck(index)
+        detected = expected in report.kinds()
+        repaired = None if repair is None else repair(index, seed=seed).ok
+        cases.append(
+            {
+                "name": f"{kind}.{method}",
+                "expected": expected,
+                "clean_before": clean_before,
+                "detected": detected,
+                "detected_kinds": report.kinds(),
+                "repaired": repaired,
+                "ok": clean_before and detected and repaired is not False,
+            }
+        )
+    return {
+        "mode": "selftest",
+        "seed": seed,
+        "size": size,
+        "healthy": all(case["ok"] for case in cases),
+        "cases": cases,
+    }
 
 
 def fsck_ingest(directory: Any) -> FsckReport:

@@ -33,15 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..exceptions import DeadlineExceededError, OperationCancelledError
 from ..observability import state as _obs
-from .fsck import (
-    FsckReport,
-    StructuralFault,
-    _mtree_global_faults,
-    check_mtree_unit,
-    check_vptree_unit,
-    mtree_scrub_units,
-    vptree_scrub_units,
-)
+from .fsck import _TREE_CHECKS, FsckReport, StructuralFault
 
 __all__ = ["ScrubProgress", "Scrubber"]
 
@@ -120,7 +112,8 @@ class Scrubber:
         self.on_fault = on_fault
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._is_mtree = hasattr(tree, "layout")
+        self._kind = "mtree" if hasattr(tree, "layout") else "vptree"
+        self._walk, self._check, self._global_faults = _TREE_CHECKS[self._kind]
         self._units: List[Any] = []
         self._cursor = 0
         self.progress = ScrubProgress()
@@ -134,10 +127,7 @@ class Scrubber:
         track mutations.
         """
         with self._lock:
-            if self._is_mtree:
-                self._units = mtree_scrub_units(self.tree)
-            else:
-                self._units = vptree_scrub_units(self.tree)
+            self._units = self._walk(self.tree)
             self._cursor = 0
             self.progress.nodes_total = len(self._units)
             self.progress.nodes_scrubbed = 0
@@ -149,11 +139,6 @@ class Scrubber:
             reg.set_gauge(
                 "reliability.scrub_progress", self.progress.fraction
             )
-
-    def _check_unit(self, unit: Any) -> List[StructuralFault]:
-        if self._is_mtree:
-            return check_mtree_unit(self.tree, unit, self.tolerance)
-        return check_vptree_unit(self.tree, unit, self.tolerance)
 
     def step(self) -> List[StructuralFault]:
         """Verify the next node; returns the faults it surfaced.
@@ -167,16 +152,12 @@ class Scrubber:
                 self.progress.passes += 1
                 return []
             unit = self._units[self._cursor]
-            found = self._check_unit(unit)
+            found = self._check(self.tree, unit, self.tolerance)
             self._cursor += 1
             self.progress.nodes_scrubbed += 1
             end_of_pass = self._cursor >= len(self._units)
-            if end_of_pass and self._is_mtree:
-                global_faults, _ = _mtree_global_faults(
-                    self.tree, self._units
-                )
-                found = found + global_faults
             if end_of_pass:
+                found = found + self._global_faults(self.tree, self._units)[0]
                 self._cursor = 0
                 self.progress.nodes_scrubbed = 0
                 self.progress.passes += 1
@@ -250,7 +231,7 @@ class Scrubber:
         :class:`~repro.reliability.FsckReport`."""
         with self._lock:
             return FsckReport(
-                tree_kind="mtree" if self._is_mtree else "vptree",
+                tree_kind=self._kind,
                 nodes_checked=self.progress.passes
                 * self.progress.nodes_total
                 + self.progress.nodes_scrubbed,

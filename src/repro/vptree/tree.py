@@ -517,40 +517,22 @@ class VPTree:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on violation."""
-        if self._root is None:
-            return
-        seen: List[int] = []
-        eps = 1e-9
+        """Check structural invariants; raises AssertionError on violation.
 
-        def walk(node: VPNode) -> None:
-            seen.append(node.oid)
-            previous_cut = 0.0
-            assert len(node.cutoffs) == len(node.children)
-            # metalint: ignore[float-discipline] — comparing the list to
-            # a sorted copy of the *same* float objects is exact-safe:
-            # no arithmetic happens, only reordering.
-            assert node.cutoffs == sorted(node.cutoffs), "cutoffs not sorted"
-            for cut, child in zip(node.cutoffs, node.children):
-                if child is not None:
-                    for descendant_oid, descendant_obj in _iter_subtree(child):
-                        dist = self.metric.distance(node.obj, descendant_obj)
-                        assert previous_cut - eps <= dist <= cut + eps, (
-                            f"object {descendant_oid} at distance {dist} "
-                            f"outside shell ({previous_cut}, {cut}]"
-                        )
-                    walk(child)
-                previous_cut = cut
+        Runs :func:`~repro.reliability.fsck_vptree` (shells, cutoff
+        shape, aliasing, accounting) with a tolerance of
+        ``1e-9 / (1 + largest cutoff)``: fsck's relative shell margin
+        ``tol * (1 + upper)`` then stays within 1e-9 absolute.
+        """
+        from ..reliability.fsck import fsck_vptree, vptree_scrub_units
 
-        def _iter_subtree(node: VPNode):
-            stack = [node]
-            while stack:
-                current = stack.pop()
-                yield current.oid, current.obj
-                stack.extend(c for c in current.children if c is not None)
-
-        walk(self._root)
-        assert len(seen) == self._n_objects, (
-            f"stored {len(seen)} objects, expected {self._n_objects}"
+        largest = max(
+            (
+                cut
+                for unit in vptree_scrub_units(self)
+                for cut in unit.node.cutoffs
+            ),
+            default=0.0,
         )
-        assert len(set(seen)) == len(seen), "duplicate oids in tree"
+        report = fsck_vptree(self, tolerance=1e-9 / (1.0 + largest))
+        assert report.ok, report.render()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,18 @@ class TestStaticAnalysisWithoutRepo:
         detail = _static_analysis(package)
         expected = len([r for r in all_rules() if r != "api-surface"])
         assert f"1 files under {expected} rules" in detail
+
+    def test_real_package_is_clean(self, tmp_path):
+        # The doctor on an installed package: no baseline to forgive a
+        # finding, so the package itself must lint clean.
+        source = Path(__file__).resolve().parents[2] / "src" / "repro"
+        package = tmp_path / "repro"
+        shutil.copytree(
+            source,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__", "*.so"),
+        )
+        assert "metalint clean" in _static_analysis(package)
 
     def test_reports_lock_findings(self, tmp_path):
         package = tmp_path / "pkg"

@@ -14,7 +14,14 @@ from repro.exceptions import (
     InvalidParameterError,
     StructuralCorruptionError,
 )
-from repro.mtree import MTree, bulk_load, vector_layout
+from repro.mtree import (
+    LeafEntry,
+    MTree,
+    Node,
+    RoutingEntry,
+    bulk_load,
+    vector_layout,
+)
 from repro.reliability import (
     FAULT_KINDS,
     QuarantineSet,
@@ -121,6 +128,143 @@ def test_invalid_stored_radius_reported(stored):
     report = fsck_mtree(tree)
     assert not report.ok
     assert "negative_radius" in report.kinds()
+
+
+# ---------------------------------------------------------------------------
+# whole-tree checks: duplicate oids, aliased nodes, misplaced entries
+# ---------------------------------------------------------------------------
+
+
+def make_deep_mtree(size=300, seed=0):
+    """An M-tree of small nodes: many leaves, a few levels."""
+    data = clustered_dataset(size=size, dim=3, seed=seed)
+    layout = vector_layout(3, node_size_bytes=256)
+    return data, bulk_load(data.points, data.metric, layout, seed=seed)
+
+
+def _leaves(tree):
+    return [node for node in tree.iter_nodes() if node.is_leaf]
+
+
+def _duplicate_mtree_oids(tree, n_dupes):
+    """Give the first entry of ``n_dupes`` leaves another leaf's first
+    oid; returns the duplicated oids."""
+    leaves = _leaves(tree)
+    assert len(leaves) > 2 * n_dupes
+    dupes = []
+    for victim, donor in zip(leaves[:n_dupes], leaves[n_dupes:]):
+        first = victim.entries[0]
+        oid = donor.entries[0].oid
+        victim.replace(
+            (LeafEntry(first.obj, oid, first.dist_to_parent),)
+            + victim.entries[1:]
+        )
+        dupes.append(oid)
+    return sorted(dupes)
+
+
+def _duplicate_vptree_oids(tree, n_dupes):
+    nodes = [unit.node for unit in vptree_scrub_units(tree)]
+    dupes = []
+    for victim, donor in zip(nodes[1 : n_dupes + 1], nodes[-n_dupes:]):
+        victim.oid = donor.oid
+        dupes.append(donor.oid)
+    return sorted(dupes)
+
+
+def _duplicate_oid_detail(report):
+    (fault,) = [f for f in report.faults if f.kind == "duplicate_oid"]
+    return fault.detail
+
+
+@pytest.mark.parametrize("n_dupes", [1, 3])
+def test_duplicate_oid_detail_lists_exactly_the_duplicates(n_dupes):
+    _, mtree = make_deep_mtree()
+    dupes = _duplicate_mtree_oids(mtree, n_dupes)
+    assert _duplicate_oid_detail(fsck_mtree(mtree)) == (
+        f"oids stored more than once: {dupes}"
+    )
+    _, vptree = make_vptree()
+    dupes = _duplicate_vptree_oids(vptree, n_dupes)
+    assert _duplicate_oid_detail(fsck_vptree(vptree)) == (
+        f"oids stored more than once: {dupes}"
+    )
+
+
+def _alias_sibling(tree):
+    """Point one routing entry at a sibling's child of the same size, so
+    the object count still matches while one node has two parents."""
+    for node in tree.iter_nodes():
+        if node.is_leaf:
+            continue
+        by_size = {}
+        for pos, entry in enumerate(node.entries):
+            size = entry.child.subtree_size()
+            if size in by_size:
+                twin = node.entries[by_size[size]]
+                entries = list(node.entries)
+                entries[pos] = RoutingEntry(
+                    twin.obj, twin.radius, twin.child, twin.dist_to_parent
+                )
+                node.replace(entries)
+                return
+            by_size[size] = pos
+    raise AssertionError("no two sibling subtrees of equal size")
+
+
+def _leaf_entry_in_internal_node(tree):
+    node = tree.root
+    first = node.entries[0]
+    node.replace(
+        (LeafEntry(first.obj, 10**6, first.dist_to_parent),)
+        + node.entries[1:]
+    )
+
+
+def _routing_entry_in_leaf(tree):
+    leaf = _leaves(tree)[0]
+    first = leaf.entries[0]
+    leaf.replace(
+        (RoutingEntry(first.obj, 0.0, Node(True), first.dist_to_parent),)
+        + leaf.entries[1:]
+    )
+
+
+@pytest.mark.parametrize(
+    "make,damage,kind",
+    [
+        (make_deep_mtree, lambda t: _duplicate_mtree_oids(t, 1), "duplicate_oid"),
+        (make_vptree, lambda t: _duplicate_vptree_oids(t, 1), "duplicate_oid"),
+        (make_deep_mtree, _alias_sibling, "doubly_referenced_page"),
+        (make_deep_mtree, _leaf_entry_in_internal_node, "entry_type_mismatch"),
+        (make_deep_mtree, _routing_entry_in_leaf, "entry_type_mismatch"),
+    ],
+    ids=[
+        "mtree-duplicate-oid",
+        "vptree-duplicate-oid",
+        "mtree-aliased-child",
+        "mtree-leaf-entry-in-internal-node",
+        "mtree-routing-entry-in-leaf",
+    ],
+)
+def test_validate_rejects_every_fsck_fault(make, damage, kind):
+    """``validate()`` is fsck: it names each fault fsck reports."""
+    _, tree = make()
+    tree.validate()
+    damage(tree)
+    with pytest.raises(AssertionError, match=kind):
+        tree.validate()
+
+
+def test_vptree_validate_margin_is_at_most_1e9_absolute():
+    _, tree = make_vptree()
+    tree.validate()
+    node = tree.root
+    child = node.children[0]
+    exact = tree.metric.distance(node.obj, child.obj)
+    node.cutoffs[0] = exact - 2e-9
+    with pytest.raises(AssertionError, match="cutoff_violation"):
+        tree.validate()
 
 
 def test_report_raise_if_bad_carries_faults():

@@ -13,6 +13,7 @@ from repro.reliability import (
     QuarantineSet,
     Scrubber,
     StructuralFaultInjector,
+    fsck_vptree,
     mtree_scrub_units,
 )
 from repro.service import TokenBucket
@@ -195,6 +196,18 @@ def test_scrubs_vptrees_too():
     report = scrubber.report()
     assert "cutoff_violation" in report.kinds()
     assert len(quarantine) >= 1
+
+
+def test_vptree_pass_ends_with_the_whole_tree_checks():
+    # A duplicated oid lies in no single node, so only the end-of-pass
+    # check that fsck_vptree also runs can see it.
+    data = clustered_dataset(size=250, dim=3, seed=5)
+    tree = VPTree.build(list(data.points), data.metric, arity=3, seed=5)
+    tree.root.children[0].oid = tree.root.oid
+    scrubber = Scrubber(tree, auto_quarantine=False)
+    scrubber.run(passes=1)
+    assert scrubber.report().kinds() == fsck_vptree(tree).kinds()
+    assert "duplicate_oid" in scrubber.report().kinds()
 
 
 def test_scrub_metrics_mirrored():

@@ -1,9 +1,9 @@
 """epoch-fence: epochs are compared through fences, never merged.
 
-Membership epochs are the cluster's only defence against routing to a
-stale world: ``Router.install_membership`` rejects non-monotonic
-installs, ``IngestService.require_epoch`` and ``Rebalancer.execute``
-raise :class:`~repro.exceptions.StaleEpochError` on mismatch, and every
+One fence guards every epoch-stamped snapshot (cluster membership,
+ingest tree view): :class:`~repro.service.EpochCell`, whose ``publish``
+(compare-and-swap) and ``require`` raise
+:class:`~repro.exceptions.StaleEpochError` on mismatch, and every
 outcome carries exactly one epoch.  An *unfenced* epoch comparison —
 one whose result is consumed silently instead of raising or feeding a
 monotonic bump — is how split-brain reads slip in; *merging* two epochs

@@ -277,8 +277,8 @@ class ClusterLifecycle:
         On success: the repaired tree is swapped in (node quarantines
         lifted), the router quarantine is dropped, the repaired cluster
         is committed as a new store generation (when a rebalancer is
-        attached), and the membership epoch is bumped so every in-flight
-        query re-reads the healed view.  Returns False when the rebuilt
+        attached), and the membership is republished under the next
+        epoch so later requests name the healed view.  Returns False when the rebuilt
         tree still fails fsck — payload-level damage repair cannot fix.
         """
         membership = self.router.membership
@@ -310,9 +310,8 @@ class ClusterLifecycle:
             return False
         shard.replace_tree(outcome.tree)
         self.router.quarantine.discard(shard_id)
-        # Same shard set, new epoch: install_membership re-stamps every
-        # shard and bumps the fencing token so the healed view is the
-        # only one any new snapshot can see.
+        # Same shard set, new epoch: every request pinned from here on
+        # is stamped with the healed view's epoch.
         self.router.install_membership(
             list(membership.shards), membership.epoch + 1
         )

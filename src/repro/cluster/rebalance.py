@@ -21,8 +21,9 @@ document (epoch, assignment, pivot profiles):
 2. **commit** — save the bundle; the store's manifest replace is the
    single commit point for the whole cluster;
 3. **install** — hand the new shard set to
-   :meth:`~repro.cluster.router.Router.install_membership`, which bumps
-   the membership epoch and fences the superseded shard views.
+   :meth:`~repro.cluster.router.Router.install_membership`, which
+   publishes it under the next epoch; queries pinned to the old
+   membership finish on the old shards.
 
 A crash at any step leaves the store loadable at exactly one epoch:
 before the commit point :func:`load_cluster` sees the old generation in
@@ -45,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import CorruptedDataError, StaleEpochError
+from ..exceptions import CorruptedDataError
 from ..metrics import Metric
 from ..observability import state as _obs
 from ..persistence import (
@@ -413,7 +414,6 @@ def load_cluster(
                 stats=stats,
                 arity=arity,
                 seed=seed,
-                epoch=epoch,
                 tree=tree,
             )
         )
@@ -472,19 +472,15 @@ class Rebalancer:
         """Commit ``plan`` and install the new membership on ``router``.
 
         The new shards are built from the router's current objects and
-        committed in one store save; the router then bumps its epoch and
-        fences the superseded shard views.  ``crash_after_step=k``
+        committed in one store save; the router then publishes them
+        under ``plan.epoch_to``.  A plan made at an epoch that is no
+        longer current raises :class:`~repro.exceptions.StaleEpochError`
+        before any work.  ``crash_after_step=k``
         performs the first ``k`` save steps and raises
         :class:`~repro.service.SimulatedCrashError`, exactly like
         :meth:`GenerationStore.save`.
         """
-        membership = router.membership
-        if membership.epoch != plan.epoch_from:
-            raise StaleEpochError(
-                f"plan was made at epoch {plan.epoch_from} but the "
-                f"router is at {membership.epoch}; re-plan",
-                epoch=membership.epoch,
-            )
+        membership = router.membership_cell.require(plan.epoch_from)
         oids, objects = _collect_objects(membership)
         by_oid = dict(zip(oids, objects))
         planned = {oid for group in plan.oids for oid in group}
@@ -561,7 +557,6 @@ class Rebalancer:
                     stats=stats,
                     arity=plan.arity,
                     seed=plan.seed,
-                    epoch=plan.epoch_to,
                     tree=tree,
                 )
             )

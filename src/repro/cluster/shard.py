@@ -20,14 +20,13 @@ Local vp-tree oids are positions within the shard; every result is
 remapped to **global** oids before it leaves the shard, so the router's
 merge and its duplicate detection work in one id space.
 
-Every shard belongs to exactly one **membership epoch** (see
-:mod:`repro.cluster.lifecycle`): when a rebalance or repair installs a
-newer cluster view, the superseded shards are *fenced* — each
-subsequent submit returns a ``"stale_epoch"`` outcome instead of an
-answer, so a concurrent query can never merge pre- and post-swap shard
-views.  A shard may also be permanently folded into the linear-scan
-rung (``scan_only``), the Pestov regime where rebuilding an index for
-the slice can no longer beat scanning it.
+A shard holds no epoch of its own: the
+:class:`~repro.cluster.ClusterMembership` that lists it does.  A
+rebalance builds new shards rather than changing old ones, so a query
+pinned to a superseded membership still gets that epoch's exact answer
+from its shards.  A shard may also be permanently folded into the
+linear-scan rung (``scan_only``), the Pestov regime where rebuilding an
+index for the slice can no longer beat scanning it.
 """
 
 from __future__ import annotations
@@ -159,7 +158,6 @@ class Shard:
         max_queue: int = 32,
         breaker_failure_threshold: int = 3,
         breaker_recovery_timeout_s: float = 0.5,
-        epoch: int = 0,
         tree: Optional[VPTree] = None,
     ):
         if len(objects) != len(oids):
@@ -172,7 +170,6 @@ class Shard:
         self.oids = [int(i) for i in oids]
         self.metric = metric
         self.stats = stats
-        self.epoch = int(epoch)
         self.arity = arity
         self.seed = seed
         if tree is not None and len(tree) != len(self.objects):
@@ -186,7 +183,6 @@ class Shard:
         self.quarantine = QuarantineSet()
         self.chaos = ShardChaos()
         self._state_lock = threading.Lock()
-        self._fenced_by: Optional[int] = None
         self._scan_only = False
         self.breaker = CircuitBreaker(
             f"shard-{shard_id}",
@@ -207,20 +203,6 @@ class Shard:
         return len(self.objects)
 
     # -- lifecycle state ---------------------------------------------------
-
-    @property
-    def fenced_by(self) -> Optional[int]:
-        """The epoch that superseded this shard view (None while live)."""
-        with self._state_lock:
-            return self._fenced_by
-
-    def fence(self, epoch: int) -> None:
-        """Supersede this shard view: every later submit answers
-        ``"stale_epoch"`` so the router retries against the current
-        membership instead of merging epochs (idempotent)."""
-        with self._state_lock:
-            if self._fenced_by is None or epoch > self._fenced_by:
-                self._fenced_by = int(epoch)
 
     @property
     def scan_only(self) -> bool:
@@ -258,20 +240,6 @@ class Shard:
     ) -> QueryOutcome:
         """One request through the shard's full pipeline (never raises
         for per-request conditions — see :meth:`QueryService.submit`)."""
-        fenced_by = self.fenced_by
-        if fenced_by is not None:
-            # Epoch fence: a superseded view must not answer at all —
-            # a partial answer from here could be merged with fresh
-            # shards into a cross-epoch hybrid.
-            return QueryOutcome(
-                request=request,
-                status="stale_epoch",
-                latency_s=0.0,
-                error=(
-                    f"shard {self.shard_id} view (epoch {self.epoch}) "
-                    f"was fenced by epoch {fenced_by}"
-                ),
-            )
         return self.service.submit(request, deadline=deadline, context=context)
 
     def scan(

@@ -138,14 +138,15 @@ class CircuitOpenError(MetricostError):
 
 
 class StaleEpochError(MetricostError):
-    """A request reached a shard view that has been superseded.
+    """A caller worked from a snapshot whose epoch is no longer current.
 
-    Raised (and converted into a ``"stale_epoch"`` outcome) when a query
-    lands on a shard that was fenced by a membership-epoch bump — a
-    rebalance or repair installed a newer cluster view while the request
-    was in flight.  The router never merges stale responses with fresh
-    ones; it retries the whole request against the current membership.
-    ``epoch`` is the epoch that fenced the shard.
+    Raised only by :class:`~repro.service.EpochCell`: when a writer
+    publishes from a superseded snapshot or under an epoch that does not
+    increase (a racing ingest ``apply``, a non-monotonic
+    ``Router.install_membership``), and when ``require(epoch)`` finds
+    the snapshot has moved on (a rebalance plan made at an older
+    membership epoch, ``IngestService.require_epoch``).  ``epoch`` is
+    the epoch current at the time of the raise.
     """
 
     def __init__(self, message: str, epoch=None):

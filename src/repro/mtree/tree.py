@@ -249,15 +249,19 @@ class MTree:
         return sum(1 for _ in self.iter_nodes())
 
     def iter_nodes(self) -> Iterable[Node]:
-        """Yield every node (root first, no particular level order)."""
+        """Yield every node (root first, no particular level order),
+        following each entry's own type so damaged trees walk too."""
         if self._root is None:
             return
         stack = [self._root]
         while stack:
             node = stack.pop()
             yield node
-            if not node.is_leaf:
-                stack.extend(entry.child for entry in node.entries)
+            stack.extend(
+                entry.child
+                for entry in node.entries
+                if isinstance(entry, RoutingEntry)
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -1226,17 +1230,12 @@ class MTree:
     # ------------------------------------------------------------------
 
     def iter_objects(self) -> Iterable[Tuple[int, Any]]:
-        """Yield every stored ``(oid, object)``."""
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for entry in node.entries:
+        """Yield every stored ``(oid, object)`` (every reachable leaf
+        entry, whatever kind of node holds it)."""
+        for node in self.iter_nodes():
+            for entry in node.entries:
+                if isinstance(entry, LeafEntry):
                     yield entry.oid, entry.obj
-            else:
-                stack.extend(entry.child for entry in node.entries)
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation.

@@ -26,6 +26,7 @@ from ..exceptions import (
     IOFaultError,
     OperationCancelledError,
 )
+from ..mtree.entries import LeafEntry, RoutingEntry
 from ..observability import state as _obs
 from ..storage.pager import PageStore
 
@@ -317,14 +318,17 @@ class StructuralFaultInjector:
         self._rng = random.Random(seed)
 
     # -- M-tree ------------------------------------------------------------
+    # Walks dispatch on entry type, so a damaged tree can be damaged more.
 
-    def _routing_entries(self, tree: Any):
+    @staticmethod
+    def _routing_entries(tree: Any):
         """All ``(node, entry)`` routing pairs of an M-tree."""
-        pairs = []
-        for node in tree.iter_nodes():
-            if not node.is_leaf:
-                pairs.extend((node, entry) for entry in node.entries)
-        return pairs
+        return [
+            (node, entry)
+            for node in tree.iter_nodes()
+            for entry in node.entries
+            if isinstance(entry, RoutingEntry)
+        ]
 
     @staticmethod
     def _max_descendant_distance(tree: Any, entry: Any) -> float:
@@ -334,13 +338,13 @@ class StructuralFaultInjector:
         stack = [entry.child]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                for leaf in node.entries:
+            for below in node.entries:
+                if isinstance(below, RoutingEntry):
+                    stack.append(below.child)
+                else:
                     best = max(
-                        best, tree.metric.distance(leaf.obj, entry.obj)
+                        best, tree.metric.distance(below.obj, entry.obj)
                     )
-            else:
-                stack.extend(e.child for e in node.entries)
         return best
 
     def shrink_radius(self, tree: Any) -> dict:
@@ -373,15 +377,11 @@ class StructuralFaultInjector:
     def skew_parent_distance(self, tree: Any) -> dict:
         """Corrupt one stored ``d(O, P(O))`` far beyond the fsck tolerance
         (guaranteeing a ``parent_distance_skew`` finding)."""
-        victims = []
-        for node in tree.iter_nodes():
-            if node.is_leaf:
-                continue
-            for entry in node.entries:
-                victims.extend(
-                    (entry.child, child_entry)
-                    for child_entry in entry.child.entries
-                )
+        victims = [
+            (entry.child, child_entry)
+            for _node, entry in self._routing_entries(tree)
+            for child_entry in entry.child.entries
+        ]
         if not victims:
             raise InvalidParameterError(
                 "tree has no non-root node whose parent distance can skew"
@@ -402,17 +402,17 @@ class StructuralFaultInjector:
         The stored object count goes stale — exactly the
         ``object_count_mismatch`` a lost entry produces in the wild.
         """
-        leaves = [
-            node
-            for node in tree.iter_nodes()
-            if node.is_leaf and len(node.entries) >= 2
-        ]
+        leaves = []
+        for node in tree.iter_nodes():
+            entries = [e for e in node.entries if isinstance(e, LeafEntry)]
+            if len(entries) >= 2:
+                leaves.append((node, entries))
         if not leaves:
             raise InvalidParameterError(
                 "no leaf with >= 2 entries to drop from"
             )
-        node = self._rng.choice(leaves)
-        entry = self._rng.choice(node.entries)
+        node, entries = self._rng.choice(leaves)
+        entry = self._rng.choice(entries)
         node.remove(entry)
         tree._invalidate_caches()
         return {

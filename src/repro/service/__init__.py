@@ -2,7 +2,7 @@
 
 The cost model (PAPER.md) predicts per-query resource use; this package
 is about what happens when many such queries share one process and the
-predictions go wrong.  Four mechanisms, composable and individually
+predictions go wrong.  Five mechanisms, composable and individually
 testable (see ``docs/robustness.md``):
 
 * **deadlines & cancellation** — :class:`~repro.context.Deadline` /
@@ -17,7 +17,9 @@ testable (see ``docs/robustness.md``):
 * **crash-consistent recovery** — :class:`GenerationStore` journals
   multi-file index bundles (``metricost-manifest-v1``) so a kill at any
   byte offset leaves the previous or the new generation fully readable,
-  never a mix.
+  never a mix;
+* **one epoch fence** — :class:`EpochCell`: readers pin a snapshot,
+  writers publish by compare-and-swap under an increasing epoch.
 
 :class:`QueryService` composes them into one front door;
 ``python -m repro serve-bench`` measures it under overload.
@@ -28,6 +30,7 @@ from __future__ import annotations
 from ..context import Context, Deadline
 from .admission import AdmissionController, TokenBucket
 from .breaker import DEFAULT_TRIP_ON, BreakerPageStore, CircuitBreaker
+from .epoch import EpochCell
 from .recovery import (
     MANIFEST_FORMAT,
     GenerationStore,
@@ -53,6 +56,7 @@ __all__ = [
     "CircuitBreaker",
     "BreakerPageStore",
     "DEFAULT_TRIP_ON",
+    "EpochCell",
     "GenerationStore",
     "RecoveryPerformed",
     "SimulatedCrashError",

@@ -99,10 +99,8 @@ class QueryOutcome:
     """How one request ended.
 
     ``status`` is one of ``"ok"``, ``"rejected"`` (shed by admission or
-    rate limiting), ``"circuit_open"``, ``"deadline"``, ``"cancelled"``,
-    ``"error"`` or ``"stale_epoch"`` (the request reached a cluster
-    shard view fenced by a membership-epoch bump; see
-    :mod:`repro.cluster.lifecycle`).  ``latency_s`` covers the request's
+    rate limiting), ``"circuit_open"``, ``"deadline"``, ``"cancelled"``
+    or ``"error"``.  ``latency_s`` covers the request's
     whole stay in the service, including any queue wait.
 
     ``degraded`` marks an answer produced around quarantined index

@@ -33,6 +33,7 @@ from repro.reliability import (
     materialize_page_graph,
     mtree_scrub_units,
     repair_mtree,
+    repair_vptree,
     vptree_scrub_units,
 )
 from repro.service import GenerationStore
@@ -230,7 +231,7 @@ def _routing_entry_in_leaf(tree):
     )
 
 
-@pytest.mark.parametrize(
+FSCK_DAMAGE = pytest.mark.parametrize(
     "make,damage,kind",
     [
         (make_deep_mtree, lambda t: _duplicate_mtree_oids(t, 1), "duplicate_oid"),
@@ -247,6 +248,9 @@ def _routing_entry_in_leaf(tree):
         "mtree-routing-entry-in-leaf",
     ],
 )
+
+
+@FSCK_DAMAGE
 def test_validate_rejects_every_fsck_fault(make, damage, kind):
     """``validate()`` is fsck: it names each fault fsck reports."""
     _, tree = make()
@@ -254,6 +258,34 @@ def test_validate_rejects_every_fsck_fault(make, damage, kind):
     damage(tree)
     with pytest.raises(AssertionError, match=kind):
         tree.validate()
+
+
+@FSCK_DAMAGE
+def test_repair_rebuilds_every_fsck_fault(make, damage, kind):
+    """Repair harvests whatever a damaged tree still holds, whatever the
+    fault, and rebuilds a tree fsck passes."""
+    _, tree = make()
+    damage(tree)
+    repair = repair_mtree if isinstance(tree, MTree) else repair_vptree
+    fsck = fsck_mtree if isinstance(tree, MTree) else fsck_vptree
+    outcome = repair(tree, seed=1)
+    assert outcome.ok, outcome.render()
+    assert fsck(outcome.tree).ok
+    assert outcome.n_recovered + outcome.n_lost == len(tree)
+    assert len(outcome.tree) == outcome.n_recovered
+
+
+@pytest.mark.parametrize(
+    "damage", [_leaf_entry_in_internal_node, _routing_entry_in_leaf]
+)
+@pytest.mark.parametrize("method,kind", MTREE_INJECTIONS)
+def test_injector_runs_on_mistyped_entries(damage, method, kind):
+    """The injector's walks follow each entry's own type, so it can add
+    a fault to a tree that already holds a mistyped entry."""
+    _, tree = make_deep_mtree()
+    damage(tree)
+    record = getattr(StructuralFaultInjector(seed=0), method)(tree)
+    assert record["kind"] == kind
 
 
 def test_vptree_validate_margin_is_at_most_1e9_absolute():

@@ -75,9 +75,25 @@ class Metric(ABC):
         many queries of the same objects (an M-tree node) encodes them
         once and passes the block instead.  The default is a plain list;
         :class:`~repro.metrics.minkowski.MinkowskiMetric` returns a
-        read-only float64 matrix.
+        read-only float64 matrix and
+        :class:`~repro.metrics.strings.EditDistance` a
+        :class:`~repro.metrics.kernels.encode.StringBlock`.
         """
         return list(ys)
+
+    def join(self, blocks: Sequence[Sequence[Any]]) -> Sequence[Any]:
+        """One block holding every block's objects, in order.
+
+        ``one_to_many(x, join(bs))`` equals the concatenation of
+        ``one_to_many(x, b)`` over ``bs`` (and likewise for the bounded
+        call), so a caller can answer several blocks with one kernel
+        call and split the result by the blocks' lengths.  ``blocks``
+        must come from :meth:`encode`.  The default concatenates lists;
+        :class:`~repro.metrics.minkowski.MinkowskiMetric` stacks its
+        matrices and :class:`~repro.metrics.strings.EditDistance`
+        concatenates its string blocks' arrays.
+        """
+        return [y for block in blocks for y in block]
 
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         """Return element-wise distances between aligned sequences.
@@ -161,6 +177,10 @@ class CountingMetric(Metric):
     def encode(self, ys: Sequence[Any]) -> Sequence[Any]:
         """The inner metric's block; encoding computes no distance."""
         return self.inner.encode(ys)
+
+    def join(self, blocks: Sequence[Sequence[Any]]) -> Sequence[Any]:
+        """The inner metric's join; joining computes no distance."""
+        return self.inner.join(blocks)
 
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         self.calls += len(xs)

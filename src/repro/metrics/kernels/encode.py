@@ -12,12 +12,17 @@ The native extension speaks three wire formats, all C-contiguous:
   Jaccard.  ``offsets`` has ``len(items) + 1`` entries with
   ``data[offsets[i]:offsets[i+1]]`` the i-th payload.
 
+A :class:`StringBlock` keeps strings together with their CSR pair (and
+the numpy kernels' padded codepoint matrix), so a caller that asks many
+queries of the same strings encodes them once.
+
 Everything here is shared by the native wrappers and the numpy
 fallback so the two paths see byte-identical inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +32,12 @@ from ...exceptions import InvalidParameterError
 __all__ = [
     "as_f64_matrix",
     "as_f64_vector",
+    "as_string_block",
     "codepoints",
     "encode_strings",
     "encode_id_sets",
     "hamming_code_matrix",
+    "StringBlock",
 ]
 
 
@@ -75,6 +82,91 @@ def encode_strings(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     else:
         data = np.empty(0, dtype=np.uint32)
     return data, offsets
+
+
+class StringBlock(tuple):
+    """Strings in the edit-distance kernels' input form.
+
+    Still a tuple of the original strings, so ``len``, iteration,
+    indexing and the scalar backend see plain strings.  It also carries
+    the CSR pair ``data`` / ``offsets`` of :func:`encode_strings` (what
+    the native kernels read), the ``lengths`` vector and, built on first
+    use, ``codes``: the zero-padded ``(width, n)`` uint32 codepoint
+    matrix, one string per column (what the numpy kernels read).  All
+    arrays are read-only.  Two threads that build ``codes`` at the same
+    time build equal matrices and keep one, so the race is harmless.
+    """
+
+    data: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+
+    def __new__(cls, strings: Iterable[str] = ()) -> "StringBlock":
+        block = super().__new__(cls, strings)
+        data, offsets = encode_strings(block)
+        block._set_csr(data, offsets)
+        return block
+
+    def _set_csr(self, data: np.ndarray, offsets: np.ndarray) -> None:
+        self.data = data
+        self.offsets = offsets
+        self.lengths = np.diff(offsets)
+        for array in (self.data, self.offsets, self.lengths):
+            array.flags.writeable = False
+        self._codes: Any = None
+        self._parts: Sequence[StringBlock] = ()
+
+    @property
+    def codes(self) -> np.ndarray:
+        codes = self._codes
+        if codes is None:
+            width = int(self.lengths.max(initial=0))
+            codes = np.zeros((width, len(self)), dtype=np.uint32)
+            if self._parts:
+                # A join: copy each part's (cached) matrix into place.
+                start = 0
+                for part in self._parts:
+                    part_codes = part.codes
+                    end = start + len(part)
+                    codes[: part_codes.shape[0], start:end] = part_codes
+                    start = end
+            else:
+                # One masked scatter: the mask is taken through the
+                # ``(n, width)`` transpose, so its row-major order is
+                # the CSR order.
+                codes.T[np.arange(width) < self.lengths[:, None]] = self.data
+            codes.flags.writeable = False
+            self._codes = codes
+        return codes
+
+    @classmethod
+    def join(cls, blocks: Sequence[Sequence[str]]) -> "StringBlock":
+        """One block holding every block's strings in order: the CSR
+        arrays are concatenated, nothing is re-encoded, and ``codes`` is
+        built from the parts' matrices."""
+        parts = [as_string_block(block) for block in blocks]
+        if len(parts) == 1:
+            return parts[0]
+        block = super().__new__(cls, itertools.chain.from_iterable(parts))
+        offsets = np.zeros(len(block) + 1, dtype=np.int64)
+        if parts:
+            np.cumsum(
+                np.concatenate([part.lengths for part in parts]),
+                out=offsets[1:],
+            )
+        data = np.concatenate(
+            [part.data for part in parts] or [np.empty(0, dtype=np.uint32)]
+        )
+        block._set_csr(data, offsets)
+        block._parts = parts
+        return block
+
+
+def as_string_block(strings: Sequence[str]) -> StringBlock:
+    """``strings`` as a :class:`StringBlock` (a block is returned as is)."""
+    if isinstance(strings, StringBlock):
+        return strings
+    return StringBlock(strings)
 
 
 def encode_id_sets(

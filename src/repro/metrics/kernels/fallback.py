@@ -6,19 +6,22 @@ They hold the GIL but amortise Python-level dispatch over whole
 batches:
 
 * Minkowski / Hamming are plain broadcast reductions;
-* Levenshtein runs the DP *across the entire batch at once*.  A batch
-  is encoded in one pass: the CSR encoder shared with the native
-  wrappers (one join, one UTF-32 encode) feeds one masked scatter into
-  a zero-padded ``(width, n)`` codepoint matrix.  For one-to-many, one
-  comparison then builds the whole ``(len(query), width, n)`` match
-  tensor.  The only Python loop iterates over the left string's
-  characters; each step updates one DP row for every pair in place on
-  preallocated buffers.  The in-row dependency
-  ``cur[j] = min(t[j], cur[j-1] + 1)`` is resolved with the
-  prefix-minimum identity ``cur[j] = min_{k<=j} (t[k] + (j - k))``:
-  the row is kept shifted by ``-j``, so one ``np.minimum.accumulate``
-  finishes it.  A call over 100 words costs ~``len(query)`` steps of
-  four vector operations each.
+* Levenshtein runs the DP *across the entire batch at once*, over a
+  :class:`~repro.metrics.kernels.encode.StringBlock`: the CSR encoder
+  shared with the native wrappers (one join, one UTF-32 encode) feeds
+  one masked scatter into a zero-padded ``(width, n)`` codepoint
+  matrix, which a block keeps, so a cached block skips the encode.
+  The only Python loop iterates over the left string's characters;
+  each step compares that character with the matrix rows it needs and
+  updates one DP row for every pair in place on preallocated buffers.
+  The in-row dependency ``cur[j] = min(t[j], cur[j-1] + 1)`` is
+  resolved with the prefix-minimum identity
+  ``cur[j] = min_{k<=j} (t[k] + (j - k))``: the row is kept shifted by
+  ``-j``, so one ``np.minimum.accumulate`` finishes it.  The bounded
+  one-to-many is banded, not exact-then-mask: candidates whose length
+  differs from the query's by more than the bound are dropped, and
+  each row updates only the ``2 * bound + 1`` cells around the
+  diagonal.
 * Jaccard loops over Python's C-implemented set intersection (there is
   no profitable dense formulation for sparse sets).
 
@@ -28,11 +31,11 @@ bit-equality against both the scalar reference and the native kernels.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .encode import codepoints, encode_strings
+from .encode import as_string_block, codepoints
 
 __all__ = [
     "minkowski_pairwise",
@@ -41,6 +44,7 @@ __all__ = [
     "hamming_rowwise",
     "jaccard_scalar",
     "levenshtein_one_to_many",
+    "levenshtein_one_to_many_bounded",
     "levenshtein_rowwise",
 ]
 
@@ -99,48 +103,51 @@ def jaccard_scalar(a: Any, b: Any) -> float:
     return 1.0 - len(sa & sb) / union
 
 
-def _code_matrix(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """The strings' codepoints as a ``(width, n)`` uint32 matrix, one
-    string per column, zero-padded, plus the int64 lengths.
-
-    One CSR encode and one masked scatter: the mask is taken through the
-    ``(n, width)`` transpose, so its row-major order is the CSR order.
-    """
-    data, offsets = encode_strings(strings)
-    lengths = np.diff(offsets)
-    width = int(lengths.max(initial=0))
-    codes = np.zeros((width, len(strings)), dtype=np.uint32)
-    codes.T[np.arange(width) < lengths[:, None]] = data
-    return codes, lengths
+# ``np.minimum.accumulate`` along the DP row runs element by element
+# (~6 ns per cell); one ``np.minimum`` per row cell runs over all pairs
+# at once but costs ~1.5 us per call.  Past this many pairs the per-cell
+# loop wins.
+_ROW_LOOP_MIN_PAIRS = 256
 
 
 def _edit_dp(
-    matches: Iterable[np.ndarray],
+    match: Callable[[int, int, int], np.ndarray],
     left_len: np.ndarray,
     right_len: np.ndarray,
     width: int,
+    band: Optional[int] = None,
 ) -> np.ndarray:
     """Edit distances of ``n`` string pairs, one DP row per left character.
 
-    ``matches`` yields, for left characters ``i = 1, 2, ...``, a
-    ``(width, n)`` int64 matrix holding 1 where character ``i`` of the
-    left string equals character ``j`` of the right string.  The row is
+    ``match(i, lo, hi)`` returns a ``(hi - lo, n)`` matrix holding 1
+    (or True) where character ``i`` of the left string equals character
+    ``j + 1`` of the right string, for ``lo <= j < hi``.  The row is
     kept shifted, ``state[j] = D[i][j] - j``, so the recurrence reads
 
         state'[j] = min_{k <= j} t[k],  t[0] = i,
         t[j] = min(state[j - 1] - match[j - 1], state[j] + 1),
 
     which is a subtract, an add, a minimum and one prefix-minimum, all
-    in place on preallocated buffers.  Pair ``r`` is read off at row
+    in place on preallocated buffers (the prefix-minimum is one
+    ``np.minimum.accumulate`` for a small batch, one ``np.minimum`` per
+    cell of the row for a large one).  Pair ``r`` is read off at row
     ``left_len[r]``, column ``right_len[r]``; zero padding never reaches
     a cell that is read, because ``D[i][j]`` depends only on
     ``D[:i+1][:j+1]``.
+
+    With ``band = k`` each row updates only the cells with
+    ``|i - j| <= k``.  A cell outside the band keeps a stale or initial
+    value that is at least ``k + 1``, or is not read at all, and a path
+    of cost at most ``k`` never leaves the band, so every distance at
+    most ``k`` is exact and every larger one reads above ``k``.  Pairs
+    whose lengths differ by more than ``k`` must not be passed.
     """
     n = len(left_len)
+    rows = int(left_len.max(initial=0))
+    reach = band if band is not None else rows + width
     state = np.zeros((width + 1, n), dtype=np.int64)
     t = np.empty_like(state)
-    deletion = np.empty((width, n), dtype=np.int64)
-    head, tail, t_tail = state[:-1], state[1:], t[1:]
+    deletion = np.empty_like(state)
     finishing = {
         i: np.flatnonzero(left_len == i)
         for i in np.flatnonzero(np.bincount(left_len)).tolist()
@@ -148,33 +155,82 @@ def _edit_dp(
     out = np.empty(n, dtype=np.float64)
 
     def read_off(i: int) -> None:
-        rows = finishing.get(i)
-        if rows is not None:
-            cols = right_len[rows]
-            out[rows] = state[cols, rows] + cols
+        rows_done = finishing.get(i)
+        if rows_done is not None:
+            cols = right_len[rows_done]
+            out[rows_done] = state[cols, rows_done] + cols
 
     read_off(0)
-    for i, match in enumerate(matches, 1):
-        np.subtract(head, match, out=t_tail)
-        np.add(tail, 1, out=deletion)
-        np.minimum(t_tail, deletion, out=t_tail)
-        t[0] = i
-        np.minimum.accumulate(t, axis=0, out=state)
+    for i in range(1, rows + 1):
+        lo = max(i - reach, 0)
+        hi = min(i + reach, width)
+        first = max(lo, 1)
+        if first <= hi:
+            cells = slice(first, hi + 1)
+            np.subtract(
+                state[first - 1 : hi], match(i, first - 1, hi), out=t[cells]
+            )
+            np.add(state[cells], 1, out=deletion[cells])
+            np.minimum(t[cells], deletion[cells], out=t[cells])
+        if lo == 0:
+            t[0] = i
+        if n < _ROW_LOOP_MIN_PAIRS:
+            np.minimum.accumulate(
+                t[lo : hi + 1], axis=0, out=state[lo : hi + 1]
+            )
+        else:
+            state[lo] = t[lo]
+            for j in range(lo + 1, hi + 1):
+                np.minimum(state[j - 1], t[j], out=state[j])
         read_off(i)
     return out
 
 
-def levenshtein_one_to_many(query: str, ys: Sequence[str]) -> np.ndarray:
-    """Edit distances from ``query`` to each candidate, batched in numpy.
-
-    The ``(len(query), width, n)`` match tensor is built in one
-    comparison before the DP runs.
-    """
-    codes, lengths = _code_matrix(ys)
+def _query_dp(
+    query: str, codes: np.ndarray, lengths: np.ndarray, band: Optional[int]
+) -> np.ndarray:
+    """:func:`_edit_dp` of ``query`` against the columns of ``codes``."""
     q = codepoints(query)
-    matches = (q[:, None, None] == codes[None]).astype(np.int64)
-    left_len = np.full(len(ys), len(query), dtype=np.int64)
-    return _edit_dp(matches, left_len, lengths, codes.shape[0])
+    return _edit_dp(
+        lambda i, lo, hi: codes[lo:hi] == q[i - 1],
+        np.full(len(lengths), len(query), dtype=np.int64),
+        lengths,
+        codes.shape[0],
+        band,
+    )
+
+
+def levenshtein_one_to_many(query: str, ys: Sequence[str]) -> np.ndarray:
+    """Edit distances from ``query`` to each candidate, batched in numpy
+    over the block's padded codepoint matrix."""
+    block = as_string_block(ys)
+    return _query_dp(query, block.codes, block.lengths, None)
+
+
+def levenshtein_one_to_many_bounded(
+    query: str, ys: Sequence[str], bound: int
+) -> np.ndarray:
+    """Edit distances from ``query`` where ``<= bound``, ``inf`` elsewhere:
+    one banded DP over the block.
+
+    Candidates whose length differs from the query's by more than
+    ``bound`` are dropped before the DP (their distance exceeds it);
+    the rest run through :func:`_edit_dp` with ``band=bound``, which
+    updates only the cells within ``bound`` of the diagonal.  No match
+    tensor is built: each row compares one query character with the
+    band's rows of the codepoint matrix.
+    """
+    block = as_string_block(ys)
+    out = np.full(len(block), np.inf)
+    keep = np.flatnonzero(np.abs(block.lengths - len(query)) <= bound)
+    if keep.size:
+        lengths = block.lengths[keep]
+        codes = block.codes[: int(lengths.max())]
+        if keep.size < len(block):
+            codes = codes[:, keep]
+        dists = _query_dp(query, codes, lengths, bound)
+        out[keep] = np.where(dists <= bound, dists, np.inf)
+    return out
 
 
 def levenshtein_rowwise(
@@ -183,14 +239,20 @@ def levenshtein_rowwise(
     """Aligned edit distances, batched: one DP row per character of the
     longest left string, each pair read off at its own length.
 
-    The match matrices are made one left character at a time: the
-    histogram sampler passes thousands of pairs, and the whole tensor
-    would cost ``8 * width_x * width_y`` bytes per pair.
+    Each row compares one left character per pair with the right
+    strings' codepoint matrix: the histogram sampler passes thousands
+    of pairs, and a whole match tensor would cost
+    ``8 * width_x * width_y`` bytes per pair.
     """
-    left, left_len = _code_matrix(xs)
-    right, right_len = _code_matrix(ys)
-    matches = ((right == row).astype(np.int64) for row in left)
-    return _edit_dp(matches, left_len, right_len, right.shape[0])
+    left = as_string_block(xs)
+    right = as_string_block(ys)
+    left_codes, right_codes = left.codes, right.codes
+    return _edit_dp(
+        lambda i, lo, hi: right_codes[lo:hi] == left_codes[i - 1],
+        left.lengths,
+        right.lengths,
+        right_codes.shape[0],
+    )
 
 
 def levenshtein_pairwise(
@@ -199,5 +261,6 @@ def levenshtein_pairwise(
     """``(m, n)`` edit distances: one batched one-to-many per left string."""
     if len(xs) == 0 or len(ys) == 0:
         return np.empty((len(xs), len(ys)), dtype=np.float64)
-    rows: List[np.ndarray] = [levenshtein_one_to_many(x, ys) for x in xs]
+    block = as_string_block(ys)
+    rows: List[np.ndarray] = [levenshtein_one_to_many(x, block) for x in xs]
     return np.vstack(rows)

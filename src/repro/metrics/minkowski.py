@@ -75,6 +75,18 @@ class MinkowskiMetric(Metric):
         block.flags.writeable = False
         return block
 
+    def join(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The blocks' rows stacked into one read-only matrix (one
+        non-empty block is returned as is)."""
+        parts = [block for block in blocks if len(block)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return self.encode([])
+        block = np.concatenate(parts)
+        block.flags.writeable = False
+        return block
+
     def rowwise(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         return kernels.minkowski_rowwise(xs, ys, self.p)
 

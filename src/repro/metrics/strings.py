@@ -20,6 +20,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from . import kernels
 from .base import Metric, _check_bound
+from .kernels.encode import StringBlock
 
 __all__ = ["EditDistance", "WeightedEditDistance", "edit_distance"]
 
@@ -94,6 +95,18 @@ class EditDistance(Metric):
 
     def one_to_many(self, x: str, ys: Sequence[str]) -> np.ndarray:
         return kernels.levenshtein_one_to_many(x, ys)
+
+    def encode(self, ys: Sequence[str]) -> StringBlock:
+        """``ys`` as a :class:`~repro.metrics.kernels.encode.StringBlock`:
+        a tuple of the strings that also carries their codepoints in both
+        kernels' input forms, so a cached block skips the per-call
+        encode on the numpy and the native backend alike."""
+        return StringBlock(ys)
+
+    def join(self, blocks: Sequence[Sequence[str]]) -> StringBlock:
+        """The blocks' strings in one block; their codepoint arrays are
+        concatenated, not re-encoded."""
+        return StringBlock.join(blocks)
 
     def rowwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         return kernels.levenshtein_rowwise(xs, ys)

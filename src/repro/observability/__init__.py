@@ -8,7 +8,7 @@ observations first-class (see ``docs/observability.md``):
   :class:`MetricsRegistry` of labelled counters/gauges/histograms with a
   JSON-round-trippable :class:`MetricsSnapshot`;
 * :mod:`~repro.observability.tracer` — a span-based :class:`Tracer`
-  (``query -> node_visit -> distance_eval``) with wall-clock and monotonic
+  (``query -> level / node_visit -> distance_eval``) with wall-clock and monotonic
   timings;
 * :mod:`~repro.observability.hooks` — :func:`profile` (context manager)
   and :func:`profiled` (decorator) timing hooks.

@@ -1,16 +1,18 @@
 """Span-based query tracing.
 
 A :class:`Tracer` records a tree of :class:`Span`\\ s — typically
-``query -> node_visit -> distance_eval`` — each carrying a wall-clock
-start time, monotonic start/end times (so durations are immune to clock
-adjustments) and free-form attributes.  The buffer is bounded: past
+``query -> level -> distance_eval`` for an M-tree range query and
+``query -> node_visit -> distance_eval`` for k-NN — each carrying a
+wall-clock start time, monotonic start/end times (so durations are
+immune to clock adjustments) and free-form attributes.  The buffer is bounded: past
 ``max_spans`` finished spans, new ones are counted in ``dropped`` instead
 of stored, so tracing a long workload cannot exhaust memory.
 
 The ``detail`` level decides how deep instrumented code descends:
 
 * ``"query"``    — one span per query (cheap; the default);
-* ``"node"``     — plus one span per accessed node;
+* ``"node"``     — plus one span per tree level (range searches) or per
+  accessed node (k-NN);
 * ``"distance"`` — plus one span per batched distance evaluation.
 
 Like the registry, the tracer is opt-in: hot paths fetch the active

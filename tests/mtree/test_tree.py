@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import EmptyTreeError, InvalidParameterError
 from repro.metrics import L2, EditDistance, LInf
+from repro.metrics.kernels.encode import StringBlock
 from repro.mtree import MTree, NodeLayout, bulk_load, vector_layout
 from repro.reliability import StructuralFaultInjector
 from repro.workloads import LinearScanBaseline
@@ -288,6 +289,30 @@ class TestNodeBlocks:
         twin.insert(np.array([0.5, 0.5]))
         twin.validate()
         tree.validate()
+
+    def test_validate_compares_string_block_arrays(self):
+        """A cached edit-distance block holding the right strings but
+        wrong codepoints is stale, and validate() says so."""
+        words = [a + b for a in "abcdefg" for b in "xyz€𝔸"]
+        tree = bulk_load(
+            words, EditDistance(), NodeLayout(80, object_bytes=8), seed=1
+        )
+        tree.range_query("beta", 1.0)  # builds the blocks on the path
+        tree.validate()
+        leaf = next(
+            node
+            for node in tree.iter_nodes()
+            if node.is_leaf and node.cached_block(tree.metric) is not None
+        )
+        block = leaf.cached_block(tree.metric)
+        forged = StringBlock(block)
+        data = block.data.copy()
+        data[0] += 1
+        forged._set_csr(data, block.offsets.copy())
+        leaf._cache = (tree.metric, forged)
+        assert list(forged) == list(block)
+        with pytest.raises(AssertionError, match="stale kernel block"):
+            tree.validate()
 
     def test_concurrent_readers_build_blocks_safely(self, rng):
         """Worker threads racing to build the same missing blocks all get

@@ -96,14 +96,29 @@ class TestQuerySpans:
         assert roots[0].attributes["nodes"] >= 1
         assert roots[0].attributes["dists"] >= 1
 
-    def test_node_detail_yields_node_children(self, tree):
+    def test_node_detail_yields_level_children(self, tree):
         observability.install(tracing="node")
         tracer = observability.active_tracer()
         result = tree.range_query(np.full(3, 0.5), 0.3)
+        levels = [s for s in tracer.spans if s.name == "mtree.level"]
+        assert [s.attributes["level"] for s in levels] == list(
+            range(1, tree.height + 1)
+        )
+        assert sum(s.attributes["nodes"] for s in levels) == (
+            result.stats.nodes_accessed
+        )
+        assert sum(s.attributes["entries"] for s in levels) == (
+            result.stats.dists_computed
+        )
+        root = tracer.roots()[0]
+        assert all(s.parent_id == root.span_id for s in levels)
+
+    def test_knn_keeps_node_visit_spans(self, tree):
+        observability.install(tracing="node")
+        tracer = observability.active_tracer()
+        result = tree.knn_query(np.full(3, 0.5), 5)
         visits = [s for s in tracer.spans if s.name == "mtree.node_visit"]
         assert len(visits) == result.stats.nodes_accessed
-        root = tracer.roots()[0]
-        assert all(s.parent_id == root.span_id for s in visits)
 
     def test_distance_detail_yields_eval_grandchildren(self, tree):
         observability.install(tracing="distance")
@@ -114,10 +129,10 @@ class TestQuerySpans:
         assert sum(s.attributes["n"] for s in evals) == (
             result.stats.dists_computed
         )
-        visit_ids = {
-            s.span_id for s in tracer.spans if s.name == "mtree.node_visit"
+        level_ids = {
+            s.span_id for s in tracer.spans if s.name == "mtree.level"
         }
-        assert all(s.parent_id in visit_ids for s in evals)
+        assert all(s.parent_id in level_ids for s in evals)
 
 
 class TestProfilingHooks:

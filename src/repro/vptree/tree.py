@@ -8,11 +8,14 @@ the objects whose distance lies in ``(mu_{i-1}, mu_i]``.  The tree stores
 one object per node (the vantage point), so the cost model's ``e(N) = 1``:
 accessing a node costs exactly one distance computation.
 
-Range search descends child ``i`` iff ``mu_{i-1} - r_Q < d(Q, O_v) <=
+Range search descends child ``i`` iff ``mu_{i-1} - r_Q <= d(Q, O_v) <=
 mu_i + r_Q`` (the paper's access criterion, with ``mu_0 = 0`` and ``mu_m``
-the distance bound).  The tree is main-memory resident — the paper ignores
-vp-tree I/O costs — so queries report distance computations only (node
-accesses equal them by construction).
+the distance bound).  The lower test is not strict, because equal-
+cardinality groups split ties: child ``i`` may hold objects at exactly
+``mu_{i-1}``, which a query at ``d(Q, O_v) = mu_{i-1} - r_Q`` reaches.
+The tree is main-memory resident — the paper ignores vp-tree I/O costs —
+so queries report distance computations only (node accesses equal them
+by construction).
 """
 
 from __future__ import annotations
@@ -377,7 +380,7 @@ class VPTree:
                                         "vptree.quarantine_skips",
                                         kind="range",
                                     )
-                            elif previous_cut - radius < dist <= cut + radius:
+                            elif previous_cut - radius <= dist <= cut + radius:
                                 frontier.append(child)
                             elif reg is not None:
                                 reg.inc(

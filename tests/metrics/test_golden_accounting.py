@@ -29,7 +29,7 @@ from repro.vptree import VPTree
 GOLDEN = {
     "mtree.range": 4306,
     "mtree.knn": 4490,
-    "vptree.range": 2095,
+    "vptree.range": 2914,
     "vptree.knn": 3987,
     "cluster.dists": 2400,
 }

@@ -12,6 +12,13 @@ A second property quarantines one subtree and checks that the range
 answer is the truth minus that subtree's objects, reported with
 ``completeness < 1`` whenever the query reaches the subtree.
 
+The same truth checks :meth:`~repro.cluster.Router.execute` over
+clusters from :func:`~repro.cluster.build_cluster` at 1, 2 and 4
+shards: range answers at the same radii, k-NN answers with ties at the
+k-th distance, and the answers with one shard killed or quarantined,
+which must be the truth over the reachable objects with ``completeness``
+naming the missing weight.
+
 Every case runs on the numpy kernels and, when the extension is built,
 on the native ones.
 """
@@ -21,12 +28,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import build_cluster
 from repro.metrics import EditDistance, L2, LInf, kernels
 from repro.mtree import NodeLayout, bulk_load
-from repro.reliability import QuarantineSet
+from repro.reliability import QuarantineSet, ShardFaultInjector
+from repro.service import QueryRequest
 from repro.workloads import LinearScanBaseline
 
 # Leaves hold 4 entries and internal nodes 3, so 30 objects or more
@@ -182,3 +191,201 @@ def test_quarantined_subtree_is_missing_and_reported(space, backend, data):
         else:
             assert result.skipped_subtrees == 0
             assert result.completeness == 1.0
+
+
+# -- Router: scatter-gather over vp-tree shards ------------------------------
+
+SHARD_COUNTS = [1, 2, 4]
+
+#: Above every distance the generated objects can have (coordinates in
+#: [-10, 10]^3, words of at most 10 characters): the shards' RDD bound.
+D_PLUS = {"L2": 35.0, "Linf": 21.0, "edit": 11.0}
+
+ROUTER_SETTINGS = settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def _key(obj):
+    return tuple(obj) if isinstance(obj, list) else obj
+
+
+def draw_cluster(data, space, n_shards):
+    """A cluster over objects with repeats (so k-NN meets ties on every
+    metric), with at least one distinct object per shard."""
+    metric, item = SPACES[space]
+    objects, queries = draw_case(data, item)
+    repeats = data.draw(
+        st.lists(st.integers(0, len(objects) - 1), max_size=10),
+        label="repeats",
+    )
+    objects = objects + [objects[i] for i in repeats]
+    assume(len({_key(obj) for obj in objects}) >= n_shards)
+    router = build_cluster(
+        objects, metric, n_shards=n_shards, d_plus=D_PLUS[space], seed=1,
+        # A loaded machine must not turn a slow shard into a failed one.
+        shard_timeout_s=60.0,
+    )
+    return router, metric, objects, queries
+
+
+def draw_k(data, dists):
+    """A k whose k-th distance is tied with the next one, when the
+    dataset has such a tie; any k otherwise."""
+    ordered = sorted(dists)
+    tied = [k for k in range(1, len(ordered)) if ordered[k - 1] == ordered[k]]
+    if tied and data.draw(st.booleans(), label="at a tie"):
+        return data.draw(st.sampled_from(tied), label="k")
+    return data.draw(st.integers(1, len(ordered)), label="k")
+
+
+def items_map(outcome):
+    return {oid: dist for oid, _obj, dist in outcome.items}
+
+
+def assert_knn_exact(outcome, dists, k):
+    """The k-NN answer over the objects whose true distances are
+    ``dists`` (oid -> distance): the right distance multiset, every
+    object strictly closer than the k-th, true distances, no repeats."""
+    ordered = sorted(dists.values())
+    take = min(k, len(ordered))
+    got = items_map(outcome)
+    assert len(outcome.items) == len(got) == take
+    assert sorted(got.values()) == ordered[:take]
+    for oid, dist in got.items():
+        assert dists[oid] == dist
+    if take:
+        kth = ordered[take - 1]
+        assert {o for o, d in dists.items() if d < kth} <= got.keys()
+
+
+def assert_missing_weight(outcome, shard, total):
+    """``completeness`` is 1 minus the shard's weight unless the cost
+    model pruned the shard, which then costs the answer nothing."""
+    report = outcome.shard_reports[shard.shard_id]
+    if report.status == "pruned":
+        assert outcome.completeness == 1.0
+    else:
+        assert report.status in ("failed", "quarantined")
+        assert outcome.degraded
+        assert outcome.completeness == pytest.approx(
+            1.0 - shard.n_objects / total
+        )
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("space", sorted(SPACES))
+@ROUTER_SETTINGS
+@given(data=st.data())
+def test_router_range_matches_linear_scan(space, n_shards, backend, data):
+    with kernels.use_backend(backend):
+        router, metric, objects, queries = draw_cluster(data, space, n_shards)
+        scan = LinearScanBaseline(objects, metric, 1, 1)
+        for query in queries:
+            radius = draw_radius(data, metric, query, objects)
+            outcome = router.execute(
+                QueryRequest("range", query, radius=radius)
+            )
+            assert outcome.ok
+            assert outcome.completeness == 1.0
+            assert items_map(outcome) == truth_map(scan, query, radius)
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("space", sorted(SPACES))
+@ROUTER_SETTINGS
+@given(data=st.data())
+def test_router_knn_matches_linear_scan(space, n_shards, backend, data):
+    with kernels.use_backend(backend):
+        router, metric, objects, queries = draw_cluster(data, space, n_shards)
+        for query in queries:
+            dists = [float(d) for d in metric.one_to_many(query, objects)]
+            k = draw_k(data, dists)
+            outcome = router.execute(QueryRequest("knn", query, k=k))
+            assert outcome.ok
+            assert outcome.completeness == 1.0
+            assert_knn_exact(outcome, dict(enumerate(dists)), k)
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("space", sorted(SPACES))
+@ROUTER_SETTINGS
+@given(data=st.data())
+def test_router_with_killed_shard_answers_the_reachable_truth(
+    space, n_shards, backend, data
+):
+    with kernels.use_backend(backend):
+        router, metric, objects, queries = draw_cluster(data, space, n_shards)
+        victim = router.shards[data.draw(st.integers(0, n_shards - 1))]
+        ShardFaultInjector(seed=1).kill(victim)
+        lost = set(victim.oids)
+        scan = LinearScanBaseline(objects, metric, 1, 1)
+        for query in queries:
+            radius = draw_radius(data, metric, query, objects)
+            outcome = router.execute(
+                QueryRequest("range", query, radius=radius)
+            )
+            assert outcome.ok
+            truth = truth_map(scan, query, radius)
+            assert items_map(outcome) == {
+                o: d for o, d in truth.items() if o not in lost
+            }
+            assert_missing_weight(outcome, victim, len(objects))
+
+            dists = [float(d) for d in metric.one_to_many(query, objects)]
+            k = draw_k(data, dists)
+            outcome = router.execute(QueryRequest("knn", query, k=k))
+            assert outcome.ok
+            assert_missing_weight(outcome, victim, len(objects))
+            # Every reachable object of the true k-NN is in the answer.
+            kth = sorted(dists)[k - 1]
+            assert {
+                o for o, d in enumerate(dists) if d < kth and o not in lost
+            } <= items_map(outcome).keys()
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("space", sorted(SPACES))
+@ROUTER_SETTINGS
+@given(data=st.data())
+def test_router_with_quarantined_shard_answers_the_reachable_truth(
+    space, n_shards, backend, data
+):
+    with kernels.use_backend(backend):
+        router, metric, objects, queries = draw_cluster(data, space, n_shards)
+        victim = router.shards[data.draw(st.integers(0, n_shards - 1))]
+        router.quarantine.add(victim.shard_id, "manual")
+        lost = set(victim.oids)
+        scan = LinearScanBaseline(objects, metric, 1, 1)
+        for query in queries:
+            radius = draw_radius(data, metric, query, objects)
+            outcome = router.execute(
+                QueryRequest("range", query, radius=radius)
+            )
+            assert outcome.ok
+            truth = truth_map(scan, query, radius)
+            assert items_map(outcome) == {
+                o: d for o, d in truth.items() if o not in lost
+            }
+            report = outcome.shard_reports[victim.shard_id]
+            assert report.status == "quarantined"
+            assert_missing_weight(outcome, victim, len(objects))
+
+            # The k-NN bound skips the quarantined shard, so the answer
+            # is the exact k-NN over the reachable objects.
+            dists = [float(d) for d in metric.one_to_many(query, objects)]
+            k = draw_k(data, dists)
+            outcome = router.execute(QueryRequest("knn", query, k=k))
+            assert outcome.ok
+            assert_missing_weight(outcome, victim, len(objects))
+            assert_knn_exact(
+                outcome,
+                {o: d for o, d in enumerate(dists) if o not in lost},
+                k,
+            )

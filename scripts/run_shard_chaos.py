@@ -195,8 +195,6 @@ def stage_scatter(args, check) -> None:
         hedge_delay_s=HEDGE_DELAY_S,
         shard_timeout_s=0.5,
         min_completeness=0.5,
-        max_concurrent=2 * args.workers,
-        max_queue=4 * args.workers,
     )
     # Kill the smallest shard (so >= 75% of objects survive); slow the
     # largest of the rest (hedged reads have the most to hide there).
@@ -251,8 +249,8 @@ def stage_scatter(args, check) -> None:
     )
     check(hedge_wins > 0, f"hedged reads won {hedge_wins} races on the slow shard")
     check(
-        router.quarantine.reason(victim.shard_id) == "breaker_open",
-        "dead shard quarantined via its breaker",
+        router.quarantine.reason(victim.shard_id) == "unreachable",
+        "dead shard quarantined as unreachable",
     )
     post = [o for o in wounded.outcomes]
     check(
@@ -287,8 +285,6 @@ def stage_lifecycle(args, check) -> None:
             d_plus=data.d_plus,
             seed=31,
             min_completeness=1.0,
-            max_concurrent=2 * args.workers,
-            max_queue=4 * args.workers,
         )
         save_cluster(router, tmp, data.d_plus)
         rebalancer = Rebalancer(tmp, data.metric)
@@ -355,8 +351,6 @@ def stage_rebalance(args, check) -> None:
             d_plus=data.d_plus,
             seed=37,
             hedge_delay_s=HEDGE_DELAY_S,
-            max_concurrent=2 * args.workers,
-            max_queue=4 * args.workers,
         )
         save_cluster(router, tmp, data.d_plus)
         rebalancer = Rebalancer(tmp, data.metric)

@@ -6,11 +6,10 @@ queries: a pivot-based partitioner
 into shards whose exact pivot-distance profiles and per-shard RDD
 histograms let the :class:`~repro.cluster.router.Router` **prove** which
 shards cannot contribute to a range/k-NN answer and skip them.  Each
-:class:`~repro.cluster.shard.Shard` is an independent index behind its
-own admission controller, circuit breaker and quarantine; the router
-scatters under per-shard sub-deadlines with bounded retry and hedged
-duplicate requests, quarantines shards whose breaker opens or whose
-fsck fails, and always gathers into a typed
+:class:`~repro.cluster.shard.Shard` is an independent index with its
+own node quarantine; the router scatters under per-shard sub-deadlines
+with bounded retry and hedged duplicate requests, quarantines shards
+that are unreachable or whose fsck fails, and always gathers into a typed
 :class:`~repro.cluster.router.RouterOutcome` whose object-weighted
 completeness and per-shard accounting make every partial answer honest
 (see ``docs/robustness.md``).

@@ -1,20 +1,21 @@
-"""One shard: an independent index with its own serving stack.
+"""One shard: an independent vp-tree index over a slice of the dataset.
 
 Each shard owns a slice of the dataset (assigned by
 :func:`~repro.cluster.partition.partition_objects`), indexes it with a
-vp-tree, and fronts it with the full PR 3/4 serving stack — its *own*
-:class:`~repro.service.AdmissionController`,
-:class:`~repro.service.CircuitBreaker`, and
-:class:`~repro.reliability.QuarantineSet` — so one sick shard sheds,
-trips, or degrades independently of its siblings, exactly like a real
-partition living on its own machine.
+vp-tree, and keeps its own node-level
+:class:`~repro.reliability.QuarantineSet`.  A shard answers on the
+caller's thread: the router already prunes, retries, hedges, carves
+sub-deadlines and quarantines, so the shard adds no admission control
+or circuit breaker of its own, and its library errors reach the router
+as exceptions.
 
 A :class:`~repro.reliability.ShardChaos` switch sits in the query path
 to make machine-level failure modes injectable: ``dead`` raises
-:class:`~repro.exceptions.IOFaultError` before any work (trips the
-breaker), ``slow`` stalls execution while *cooperatively* polling the
-request budget, so a cancelled straggler (a hedge won the race) stops
-promptly instead of sleeping through its stall.
+:class:`~repro.exceptions.IOFaultError` before any work (the router
+quarantines the shard as ``unreachable``), ``slow`` stalls execution
+while *cooperatively* polling the request budget, so a cancelled
+straggler (a hedge won the race) stops promptly instead of sleeping
+through its stall.
 
 Local vp-tree oids are positions within the shard; every result is
 remapped to **global** oids before it leaves the shard, so the router's
@@ -43,9 +44,7 @@ from ..metrics import Metric
 from ..reliability.faults import ShardChaos
 from ..reliability.fsck import FsckReport, fsck_vptree
 from ..reliability.quarantine import QuarantineSet
-from ..service.admission import AdmissionController
-from ..service.breaker import CircuitBreaker
-from ..service.service import QueryOutcome, QueryRequest, QueryService
+from ..service.service import QueryOutcome, QueryRequest
 from ..vptree.tree import VPTree
 
 __all__ = ["Shard"]
@@ -55,95 +54,26 @@ __all__ = ["Shard"]
 STALL_SLICE_S = 0.005
 
 
-class _ShardBackend:
-    """Backend adapter: chaos gate → vp-tree → global-oid remap."""
+def _stall(delay_s: float, budget: Optional[Any]) -> None:
+    """Sleep ``delay_s`` in slices, honouring the request budget.
 
-    def __init__(self, shard: "Shard"):
-        self.shard = shard
-        self.name = f"shard-{shard.shard_id}"
-
-    @staticmethod
-    def _stall(delay_s: float, budget: Optional[Any]) -> None:
-        """Sleep ``delay_s`` in slices, honouring the request budget.
-
-        Raising out of here (deadline blown, context cancelled) is the
-        point: a hedged-away straggler must stop burning its worker
-        promptly, and the raise surfaces as a ``cancelled``/``deadline``
-        outcome rather than tripping the breaker (see
-        :class:`~repro.service.CircuitBreaker.call`).
-        """
-        end = time.monotonic() + delay_s
-        while True:
-            if budget is not None:
-                budget.check("slow-shard stall")
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(STALL_SLICE_S, remaining))
-
-    def execute(
-        self, request: QueryRequest, deadline: Optional[Any] = None
-    ) -> QueryOutcome:
-        start = time.perf_counter()
-        shard = self.shard
-        mode, delay_s, slow_hedged = shard.chaos.snapshot()
-        if mode == "dead":
-            raise IOFaultError(
-                f"shard {shard.shard_id} is dead (injected fault)"
-            )
-        if mode == "slow" and (not request.hedged or slow_hedged):
-            self._stall(delay_s, deadline)
-        if shard.scan_only:
-            # Folded into the linear-scan rung: the index is no longer
-            # trusted, the pristine snapshot answers at linear cost.
-            items, dists = shard.scan(request, deadline=deadline)
-            return QueryOutcome(
-                request=request,
-                status="ok",
-                latency_s=time.perf_counter() - start,
-                items=items,
-                nodes=0,
-                dists=dists,
-                completeness=1.0,
-                degraded=True,
-            )
-        if request.kind == "range":
-            result = shard.tree.range_query(
-                request.query,
-                request.radius,
-                deadline=deadline,
-                quarantine=shard.quarantine,
-            )
-            local_items = result.items
-        else:
-            # A shard holds only its slice: a k larger than the shard is
-            # legitimate (the router merges across shards), so clamp.
-            k = min(request.k or 1, shard.n_objects)
-            result = shard.tree.knn_query(
-                request.query,
-                k,
-                deadline=deadline,
-                quarantine=shard.quarantine,
-            )
-            local_items = result.neighbors
-        items = [
-            (shard.oids[local_oid], obj, dist)
-            for local_oid, obj, dist in local_items
-        ]
-        return QueryOutcome(
-            request=request,
-            status="ok",
-            latency_s=time.perf_counter() - start,
-            items=items,
-            nodes=result.stats.nodes_accessed,
-            dists=result.stats.dists_computed,
-            completeness=result.completeness,
-            degraded=result.completeness < 1.0,
-        )
+    Raising out of here (deadline blown, context cancelled) is the
+    point: a hedged-away straggler must stop burning its worker
+    promptly, and the router reports the raise as a ``cancelled`` or
+    ``deadline`` attempt, which never quarantines the shard.
+    """
+    end = time.monotonic() + delay_s
+    while True:
+        if budget is not None:
+            budget.check("slow-shard stall")
+        remaining = end - time.monotonic()
+        if remaining <= 0:
+            return
+        time.sleep(min(STALL_SLICE_S, remaining))
 
 
 class Shard:
-    """A slice of the dataset behind its own full serving stack."""
+    """A slice of the dataset behind its own vp-tree."""
 
     def __init__(
         self,
@@ -154,10 +84,6 @@ class Shard:
         stats: Any = None,
         arity: int = 4,
         seed: int = 0,
-        max_concurrent: int = 8,
-        max_queue: int = 32,
-        breaker_failure_threshold: int = 3,
-        breaker_recovery_timeout_s: float = 0.5,
         tree: Optional[VPTree] = None,
     ):
         if len(objects) != len(oids):
@@ -184,19 +110,6 @@ class Shard:
         self.chaos = ShardChaos()
         self._state_lock = threading.Lock()
         self._scan_only = False
-        self.breaker = CircuitBreaker(
-            f"shard-{shard_id}",
-            failure_threshold=breaker_failure_threshold,
-            recovery_timeout_s=breaker_recovery_timeout_s,
-        )
-        self.admission = AdmissionController(
-            max_concurrent=max_concurrent, max_queue=max_queue
-        )
-        self.service = QueryService(
-            _ShardBackend(self),
-            admission=self.admission,
-            breaker=self.breaker,
-        )
 
     @property
     def n_objects(self) -> int:
@@ -238,9 +151,67 @@ class Shard:
         deadline: Optional[Any] = None,
         context: Optional[Context] = None,
     ) -> QueryOutcome:
-        """One request through the shard's full pipeline (never raises
-        for per-request conditions — see :meth:`QueryService.submit`)."""
-        return self.service.submit(request, deadline=deadline, context=context)
+        """Answer one request on this thread: chaos gate, then the
+        vp-tree (or the linear scan once folded), then global oids.
+
+        The budget is ``context`` when given, else ``deadline``.  Every
+        failure raises: :class:`~repro.exceptions.IOFaultError` for a
+        dead shard, the budget's own error when it runs out, and any
+        other library error as the index raised it.
+        """
+        start = time.perf_counter()
+        budget: Optional[Any] = context if context is not None else deadline
+        mode, delay_s, slow_hedged = self.chaos.snapshot()
+        if mode == "dead":
+            raise IOFaultError(
+                f"shard {self.shard_id} is dead (injected fault)"
+            )
+        if mode == "slow" and (not request.hedged or slow_hedged):
+            _stall(delay_s, budget)
+        if self.scan_only:
+            # Folded into the linear-scan rung: the index is no longer
+            # trusted, the pristine snapshot answers at linear cost.
+            items, dists = self.scan(request, deadline=budget)
+            nodes, completeness, degraded = 0, 1.0, True
+        else:
+            if request.kind == "range":
+                result = self.tree.range_query(
+                    request.query,
+                    request.radius,
+                    deadline=budget,
+                    quarantine=self.quarantine,
+                )
+                local_items = result.items
+            else:
+                # A shard holds only its slice: a k larger than the
+                # shard is legitimate (the router merges across
+                # shards), so clamp.
+                k = min(request.k or 1, self.n_objects)
+                result = self.tree.knn_query(
+                    request.query,
+                    k,
+                    deadline=budget,
+                    quarantine=self.quarantine,
+                )
+                local_items = result.neighbors
+            items = [
+                (self.oids[local_oid], obj, dist)
+                for local_oid, obj, dist in local_items
+            ]
+            nodes = result.stats.nodes_accessed
+            dists = result.stats.dists_computed
+            completeness = result.completeness
+            degraded = completeness < 1.0
+        return QueryOutcome(
+            request=request,
+            status="ok",
+            latency_s=time.perf_counter() - start,
+            items=items,
+            nodes=nodes,
+            dists=dists,
+            completeness=completeness,
+            degraded=degraded,
+        )
 
     def scan(
         self, request: QueryRequest, deadline: Optional[Any] = None
@@ -284,5 +255,5 @@ class Shard:
     def __repr__(self) -> str:
         return (
             f"Shard(id={self.shard_id}, n={self.n_objects}, "
-            f"breaker={self.breaker.state!r}, chaos={self.chaos.mode!r})"
+            f"chaos={self.chaos.mode!r})"
         )

@@ -428,14 +428,14 @@ def _self_test(seed: int) -> List[DoctorCheck]:
                     f"silent short answer: missing {sorted(truth - got)}"
                 )
         reasons = router.quarantine.reasons()
-        if reasons.get(victim.shard_id) != "breaker_open":
+        if reasons.get(victim.shard_id) != "unreachable":
             raise AssertionError(
                 f"dead shard not quarantined: {reasons}"
             )
         return (
             f"1/4 shards dead: 6 probes all ok with completeness >= "
             f"{1.0 - weight:.2f}, answers complete over surviving shards, "
-            f"shard {victim.shard_id} quarantined (breaker_open)"
+            f"shard {victim.shard_id} quarantined (unreachable)"
         )
 
     def lifecycle_gc() -> str:

@@ -527,8 +527,7 @@ class ShardChaos:
 
     A cluster shard consults its chaos switch on every query.  ``dead``
     makes the shard raise :class:`IOFaultError` (the whole-machine
-    failure: trips the shard's circuit breaker, triggers router
-    quarantine); ``slow`` delays execution by ``delay_s`` (the straggler
+    failure: the router quarantines the shard as ``unreachable``); ``slow`` delays execution by ``delay_s`` (the straggler
     regime hedged reads exist for).  By default a slow shard only slows
     *primary* attempts — modelling a transient per-request stall (GC
     pause, queue spike) where a duplicate request takes a fresh, fast

@@ -117,8 +117,8 @@ def test_mid_workload_shard_kill_keeps_answers_honest(data):
                         == 0
                     )
 
-    # The dead shard was discovered and quarantined via its breaker.
-    assert router.quarantine.reason(victim.shard_id) == "breaker_open"
+    # The dead shard was discovered and quarantined as unreachable.
+    assert router.quarantine.reason(victim.shard_id) == "unreachable"
     # Post-kill queries skip the quarantined shard instantly rather than
     # re-timing-out: the victim's last reports say quarantined.
     final = router.execute(
@@ -127,4 +127,4 @@ def test_mid_workload_shard_kill_keeps_answers_honest(data):
     victim_report = final.shard_reports[victim.shard_id]
     assert victim_report.status in ("quarantined", "pruned")
     if victim_report.status == "quarantined":
-        assert victim_report.quarantine_reason == "breaker_open"
+        assert victim_report.quarantine_reason == "unreachable"

@@ -40,10 +40,6 @@ def test_hedge_beats_slow_shard_under_hammer(data):
         seed=51,
         hedge_delay_s=HEDGE_DELAY_S,
         shard_timeout_s=2.0,
-        # Headroom: stalled primaries from all 8 workers can hold slots
-        # concurrently; hedges must still be admitted immediately.
-        max_concurrent=2 * WORKERS,
-        max_queue=4 * WORKERS,
     )
     victim = router.shards[2]
     ShardFaultInjector(seed=2).slow(victim, SLOW_S)

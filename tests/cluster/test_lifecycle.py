@@ -26,6 +26,7 @@ from repro.cluster import (
 )
 from repro.datasets import clustered_dataset
 from repro.exceptions import StaleEpochError
+from repro.reliability import ShardFaultInjector
 from repro.service import QueryRequest
 
 N_OBJECTS = 90
@@ -280,9 +281,7 @@ class TestEpochFencing:
         save_cluster(router, tmp_path, data.d_plus)
         old = router.membership
         sick, slow = old.shards[0], old.shards[1]
-        for _ in range(3):
-            sick.breaker.record_failure()
-        assert sick.breaker.state == "open"
+        ShardFaultInjector(seed=13).kill(sick)
         # Hold the pinned query inside its scatter until the rebalance
         # has installed the new membership.
         scattering, release = threading.Event(), threading.Event()
@@ -313,12 +312,12 @@ class TestEpochFencing:
         (outcome,) = outcomes
         assert outcome.epoch == old.epoch
         report = outcome.shard_reports[sick.shard_id]
-        assert ("primary", "circuit_open") in report.attempts
+        assert report.attempts == [("primary", "error")]
         assert router.membership.epoch == old.epoch + 1
         assert router.membership.shards[sick.shard_id] is not sick
         assert not router.quarantine.contains(sick.shard_id)
-        # The open breaker was recorded, in the pinned membership only.
-        assert old.quarantine.reason(sick.shard_id) == "breaker_open"
+        # The dead shard was recorded, in the pinned membership only.
+        assert old.quarantine.reason(sick.shard_id) == "unreachable"
 
     def test_health_check_acts_on_the_membership_it_started_with(
         self, router, data
@@ -332,8 +331,7 @@ class TestEpochFencing:
             seed=14,
         ).membership
         first, sick = old.shards[0], old.shards[1]
-        for _ in range(3):
-            sick.breaker.record_failure()
+        ShardFaultInjector(seed=14).corrupt(sick)
         fsck = first.fsck
 
         def fsck_then_install():
@@ -344,7 +342,7 @@ class TestEpochFencing:
         first.fsck = fsck_then_install
         records = router.health_check()
         assert [r["shard_id"] for r in records] == [sick.shard_id]
-        assert old.quarantine.reason(sick.shard_id) == "breaker_open"
+        assert old.quarantine.reason(sick.shard_id) == "fsck"
         assert not router.quarantine.contains(sick.shard_id)
         assert router.recheck() == []
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import (
+    DeadlineExceededError,
     InvalidParameterError,
     IOFaultError,
+    OperationCancelledError,
     RetryExhaustedError,
 )
 from repro.reliability import (
@@ -90,6 +92,20 @@ class TestCall:
         with pytest.raises(KeyError):
             policy.call(flaky)
         assert flaky.calls == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [DeadlineExceededError("budget"), OperationCancelledError("stop")],
+    )
+    def test_caller_budget_errors_are_never_retried(self, error):
+        # A DeadlineExceededError is a TimeoutError, which the default
+        # retry_on matches through OSError.
+        flaky = _Flaky(1, error=error)
+        policy = RetryPolicy(max_attempts=5, sleep=_no_sleep)
+        with pytest.raises(type(error)):
+            policy.call(flaky)
+        assert flaky.calls == 1
+        assert policy.stats.retries == 0
 
     def test_custom_retry_on(self):
         flaky = _Flaky(1, error=KeyError("now retryable"))

@@ -13,6 +13,7 @@ exceeds a threshold — handy inside range queries with a small radius.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
@@ -58,13 +59,17 @@ class EditDistance(Metric):
     def distance(self, a: str, b: str) -> float:
         return float(edit_distance(a, b))
 
-    def bounded_distance(self, a: str, b: str, bound: int) -> float:
+    def bounded_distance(self, a: str, b: str, bound: float) -> float:
         """Return ``d(a, b)`` if it is ``<= bound``, else ``inf``.
 
         Uses the length difference lower bound and a banded DP so the cost
-        is ``O(bound * max(len))`` instead of ``O(len(a) * len(b))``.
+        is ``O(bound * max(len))`` instead of ``O(len(a) * len(b))``.  A
+        finite bound is floored, as :meth:`one_to_many_bounded` does:
+        edit distances are integers.
         """
         _check_bound(bound)
+        if not math.isinf(bound):
+            bound = math.floor(bound)
         if abs(len(a) - len(b)) > bound:
             return float("inf")
         if len(b) > len(a):

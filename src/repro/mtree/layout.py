@@ -58,11 +58,19 @@ class NodeLayout:
                 "min_utilization must lie in [0, 0.5], got "
                 f"{self.min_utilization}"
             )
-        if self.leaf_capacity < 2 or self.internal_capacity < 2:
+        # An internal node needs room for 3 entries: splitting the 3
+        # routing entries that overflow a 2-entry node leaves a 1-entry
+        # node, which fsck rejects as undersized.
+        if self.leaf_capacity < 2 or self.internal_capacity < 3:
+            needed = NODE_HEADER_BYTES + max(
+                2 * self.leaf_entry_bytes, 3 * self.internal_entry_bytes
+            )
             raise CapacityError(
-                f"node size {self.node_size_bytes}B holds fewer than 2 "
-                f"entries for {self.object_bytes}B objects "
-                f"(leaf {self.leaf_capacity}, internal {self.internal_capacity})"
+                f"node size {self.node_size_bytes}B holds "
+                f"{self.leaf_capacity} leaf and {self.internal_capacity} "
+                f"internal entries for {self.object_bytes}B objects; an "
+                f"M-tree needs at least 2 leaf and 3 internal entries, "
+                f"so a node size of at least {needed}B"
             )
 
     @property

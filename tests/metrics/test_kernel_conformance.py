@@ -106,6 +106,24 @@ def test_levenshtein_bounded_conformance(q, ys, bound):
     assert np.array_equal(results["numpy"], expected)
 
 
+@pytest.mark.parametrize("bound", [0.5, 1.5, 2.999, math.inf, 1e20])
+@given(q=WORD, ys=WORDS)
+@settings(max_examples=25)
+def test_levenshtein_scalar_and_batched_bounded_agree(bound, q, ys):
+    """The scalar ``bounded_distance`` and the batched kernels answer
+    alike at fractional, infinite and huge bounds: a finite bound is
+    floored on both paths."""
+    metric = EditDistance()
+    expected = np.array([metric.bounded_distance(q, y, bound) for y in ys])
+    results = all_backends(
+        lambda: kernels.levenshtein_one_to_many_bounded(q, ys, bound)
+    )
+    assert_agree(results, exact=True)
+    assert np.array_equal(results["numpy"], expected)
+    exact = np.array([metric.distance(q, y) for y in ys])
+    assert np.array_equal(expected, np.where(exact <= bound, exact, np.inf))
+
+
 @pytest.mark.parametrize("bound", [2**62, 2**63 - 1, 1e20])
 @given(q=WORD, ys=WORDS)
 @settings(max_examples=25)

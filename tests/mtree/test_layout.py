@@ -5,8 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import CapacityError, InvalidParameterError
-from repro.mtree import NodeLayout, string_layout, vector_layout
+from repro.metrics import EditDistance
+from repro.mtree import MTree, NodeLayout, bulk_load, string_layout, vector_layout
 from repro.mtree.layout import NODE_HEADER_BYTES
+
+# 35 words, BMP and astral characters included.
+WORDS = [a + b for a in "abcdefg" for b in "xyz€𝔸"]
 
 
 class TestNodeLayout:
@@ -34,6 +38,25 @@ class TestNodeLayout:
     def test_too_small_node_rejected(self):
         with pytest.raises(CapacityError):
             NodeLayout(node_size_bytes=64, object_bytes=100)
+
+    def test_internal_capacity_of_two_rejected_with_the_size_needed(self):
+        # 64 bytes hold 3 leaf entries but only 2 internal ones: a split
+        # of 3 routing entries would leave a 1-entry node.
+        with pytest.raises(CapacityError, match="at least 68B"):
+            string_layout(8, node_size_bytes=64)
+        layout = string_layout(8, node_size_bytes=68)
+        assert (layout.leaf_capacity, layout.internal_capacity) == (3, 3)
+
+    @pytest.mark.parametrize("node_size_bytes", [68, 72, 80, 96])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smallest_layouts_build_valid_trees(self, node_size_bytes, seed):
+        layout = string_layout(8, node_size_bytes=node_size_bytes)
+        assert 3 <= layout.internal_capacity <= 4
+        bulk_load(WORDS, EditDistance(), layout, seed=seed).validate()
+        tree = MTree(EditDistance(), layout, seed=seed)
+        for word in WORDS:
+            tree.insert(word)
+        tree.validate()
 
     @pytest.mark.parametrize(
         "kwargs",

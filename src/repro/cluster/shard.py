@@ -32,6 +32,7 @@ index for the slice can no longer beat scanning it.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, List, Optional, Sequence, Tuple
@@ -150,6 +151,7 @@ class Shard:
         request: QueryRequest,
         deadline: Optional[Any] = None,
         context: Optional[Context] = None,
+        bound: float = math.inf,
     ) -> QueryOutcome:
         """Answer one request on this thread: chaos gate, then the
         vp-tree (or the linear scan once folded), then global oids.
@@ -158,6 +160,12 @@ class Shard:
         failure raises: :class:`~repro.exceptions.IOFaultError` for a
         dead shard, the budget's own error when it runs out, and any
         other library error as the index raised it.
+
+        ``bound`` caps a k-NN answer at that distance (see
+        :meth:`~repro.vptree.VPTree.knn_query`): the router passes the
+        k-th distance another shard already returned, so only items that
+        can still reach the merged answer come back.  Range requests
+        ignore it.
         """
         start = time.perf_counter()
         budget: Optional[Any] = context if context is not None else deadline
@@ -171,7 +179,7 @@ class Shard:
         if self.scan_only:
             # Folded into the linear-scan rung: the index is no longer
             # trusted, the pristine snapshot answers at linear cost.
-            items, dists = self.scan(request, deadline=budget)
+            items, dists = self.scan(request, deadline=budget, bound=bound)
             nodes, completeness, degraded = 0, 1.0, True
         else:
             if request.kind == "range":
@@ -192,6 +200,7 @@ class Shard:
                     k,
                     deadline=budget,
                     quarantine=self.quarantine,
+                    bound=bound,
                 )
                 local_items = result.neighbors
             items = [
@@ -214,7 +223,10 @@ class Shard:
         )
 
     def scan(
-        self, request: QueryRequest, deadline: Optional[Any] = None
+        self,
+        request: QueryRequest,
+        deadline: Optional[Any] = None,
+        bound: float = math.inf,
     ) -> Tuple[List[Tuple[int, Any, float]], int]:
         """Linear scan over the shard's pristine object snapshot.
 
@@ -223,7 +235,8 @@ class Shard:
         shard is complete by construction.  Chaos still applies — a dead
         shard cannot be scanned either — so the rung is honest about
         machine-level failure.  Returns ``(items, dists_computed)`` with
-        global oids.
+        global oids.  ``bound`` drops k-NN items farther than it, as
+        :meth:`submit` does on the vp-tree.
         """
         mode, _delay_s, _slow_hedged = self.chaos.snapshot()
         if mode == "dead":
@@ -241,6 +254,7 @@ class Shard:
         else:
             k = min(request.k or 1, self.n_objects)
             order = np.argsort(dists, kind="stable")[:k]
+            order = order[dists[order] <= bound]
         if deadline is not None:
             deadline.check("shard linear scan")
         items = [

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
@@ -33,6 +34,13 @@ from ..metrics import Metric
 from ..observability import state as _obs
 
 __all__ = ["VPNode", "VPTree", "VPQueryStats", "VPRangeResult", "VPKNNResult"]
+
+#: Relative widening of the k-NN search radius that subtree lower bounds
+#: ``d(Q, v) - mu`` are tested against.  The subtraction rounds, and a
+#: lower bound rounded up past the radius would drop an object lying
+#: exactly on it (a tie at ``bound``).  Integer-valued metrics see no
+#: change: the widening stays below 1.
+KNN_REACH_EPS = 1e-9
 
 
 @dataclass
@@ -410,6 +418,7 @@ class VPTree:
         k: int,
         deadline: Optional[Any] = None,
         quarantine: Optional[Any] = None,
+        bound: float = math.inf,
     ) -> VPKNNResult:
         """Best-first k-NN using per-subtree distance lower bounds.
 
@@ -421,6 +430,14 @@ class VPTree:
 
         ``deadline`` is polled once per node pop; ``quarantine`` routes
         around damaged subtrees (see :meth:`range_query`).
+
+        ``bound`` caps the search radius: the answer is the unbounded
+        answer restricted to objects at distance ``<= bound`` (ties at
+        ``bound`` kept), found at no more distances.  Until ``k``
+        candidates are held the search prunes at ``bound`` instead of
+        infinity, so a caller that already knows ``k`` objects within
+        ``bound`` elsewhere (the router's nearest shard) skips every
+        subtree that cannot beat them.
         """
         if self._root is None:
             raise EmptyTreeError("cannot run a k-NN query on an empty tree")
@@ -428,6 +445,8 @@ class VPTree:
             raise InvalidParameterError(
                 f"k must lie in [1, {self._n_objects}], got {k}"
             )
+        if not (bound >= 0):
+            raise InvalidParameterError(f"bound must be >= 0, got {bound}")
         reg = _obs.registry
         tracer = _obs.tracer
         span = (
@@ -452,16 +471,20 @@ class VPTree:
                 )
 
             def kth() -> float:
-                return -best[0][0] if len(best) == k else float("inf")
+                return -best[0][0] if len(best) == k else bound
+
+            def reach() -> float:
+                radius = kth()
+                return radius + KNN_REACH_EPS * (radius + 1.0)
 
             counter = itertools.count()
             pending: List[Tuple[float, int, VPNode]] = [
                 (0.0, next(counter), self._root)
             ]
-            while pending and pending[0][0] <= kth():
+            while pending and pending[0][0] <= reach():
                 if deadline is not None:
                     deadline.check("vptree k-NN query")
-                _bound, _tie, node = heapq.heappop(pending)
+                _lower, _tie, node = heapq.heappop(pending)
                 stats.nodes_accessed += 1
                 dist = self.metric.distance(query, node.obj)
                 stats.dists_computed += 1
@@ -489,7 +512,7 @@ class VPTree:
                                 reg.inc(
                                     "vptree.quarantine_skips", kind="knn"
                                 )
-                        elif lower <= kth():
+                        elif lower <= reach():
                             heapq.heappush(
                                 pending, (lower, next(counter), child)
                             )

@@ -396,6 +396,26 @@ def test_scatter_starts_one_thread_per_scattered_shard(data, monkeypatch):
     assert len(started) == len(scattered)
 
 
+def test_folded_shard_answers_inside_the_knn_bound(data):
+    objects = list(data.points[:60])
+    shard = Shard(0, objects, range(100, 160), data.metric, seed=41)
+    request = QueryRequest("knn", queries(data, 1, seed=18)[0], k=10)
+    full = shard.submit(request)
+    bound = full.items[4][2]
+    expected = [(oid, d) for oid, _obj, d in full.items if d <= bound]
+
+    def pairs(items):
+        return [(oid, pytest.approx(d)) for oid, _obj, d in items]
+
+    assert pairs(shard.submit(request, bound=bound).items) == expected
+    items, n_dists = shard.scan(request, bound=bound)
+    assert pairs(items) == expected and n_dists == len(objects)
+    shard.fold_to_scan()
+    folded = shard.submit(request, bound=bound)
+    assert pairs(folded.items) == expected
+    assert folded.dists == len(objects)
+
+
 def test_infinite_hedge_delay_never_hedges_a_slow_shard(data):
     router = build_cluster(
         list(data.points),

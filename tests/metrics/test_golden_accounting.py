@@ -17,6 +17,8 @@ are comparable with ``==`` across backends.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ def run_workload(backend):
 def test_numpy_counters_match_golden():
     counters, _ = run_workload("numpy")
     assert counters == GOLDEN
+
+
+def test_infinite_knn_bound_keeps_the_vptree_pin():
+    """``bound=inf`` is the unbounded search, distance for distance."""
+    with kernels.use_backend("numpy"):
+        words = list(keyword_dataset(400, seed=11).words)
+        vp = VPTree.build(words, EditDistance(), arity=2, seed=5)
+        total = sum(
+            vp.knn_query(q, 5, bound=math.inf).stats.dists_computed
+            for q in words[::40]
+        )
+    assert total == GOLDEN["vptree.knn"]
 
 
 def test_scalar_counters_match_golden():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,63 @@ class TestKNNQuery:
         empty = VPTree.build([], L2())
         with pytest.raises(EmptyTreeError):
             empty.knn_query(points[0], 1)
+
+
+class TestBoundedKNN:
+    """``knn_query(bound=b)`` is the unbounded answer cut at ``b``."""
+
+    @staticmethod
+    def assert_bounded_matches(tree, query, k):
+        full = tree.knn_query(query, k)
+        dists = sorted({d for d in full.distances()})
+        # Zero, every answer distance (ties at the bound included), a
+        # value between two of them, and infinity.
+        bounds = [0.0, *dists, (dists[0] + dists[-1]) / 2, math.inf]
+        for bound in bounds:
+            cut = tree.knn_query(query, k, bound=bound)
+            assert cut.neighbors == [
+                n for n in full.neighbors if n[2] <= bound
+            ], bound
+            assert cut.stats.dists_computed <= full.stats.dists_computed
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_vectors(self, points, k):
+        tree = VPTree.build(list(points), L2(), arity=3, seed=9)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            self.assert_bounded_matches(tree, rng.random(3), k)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_strings_with_ties(self, words, k):
+        # Integer edit distances and repeated words tie at every bound.
+        objects = words + words[: len(words) // 2]
+        tree = VPTree.build(objects, EditDistance(), arity=2, seed=12)
+        for query in ("casa", "rosa", "x", ""):
+            self.assert_bounded_matches(tree, query, min(k, len(objects)))
+
+    def test_bound_prunes(self, points):
+        tree = VPTree.build(list(points), L2(), arity=3, seed=9)
+        query = points[7] + 0.01
+        full = tree.knn_query(query, 10)
+        cut = tree.knn_query(query, 10, bound=full.distances()[0])
+        assert cut.stats.dists_computed < full.stats.dists_computed
+
+    def test_tie_at_the_bound_survives_rounding(self):
+        # 0.9 - 0.7 rounds to 0.20000000000000007: the shell lower bound
+        # of the child holding (0.2, 0, 0) lies just above the bound.
+        objects = [(0.2, 0.0, 0.0), (0.7, 0.0, 0.0), (0.9, 0.0, 0.0)]
+        metric = L2()
+        tree = VPTree.build(objects, metric, arity=4, seed=3)
+        query = (0.0, 0.0, 0.0)
+        bound = metric.distance(query, objects[0])
+        result = tree.knn_query(query, 2, bound=bound)
+        assert result.neighbors == [(0, objects[0], bound)]
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan")])
+    def test_invalid_bound_rejected(self, points, bound):
+        tree = VPTree.build(list(points[:10]), L2())
+        with pytest.raises(InvalidParameterError):
+            tree.knn_query(points[0], 3, bound=bound)
 
 
 class TestStringVPTree:

@@ -156,22 +156,42 @@ def audit_outcome(outcome, router, points, metric, floor, check) -> dict:
             quiet=True,
         )
 
+    # Every prune re-proves at the radius it names: a range prune at the
+    # query radius, a k-NN prune at a radius no smaller than the true
+    # k-th distance over the objects its rule saw.  A knn_bound radius is
+    # a returned item's distance, so it bounds the reachable objects; an
+    # annulus radius also counts shards that failed after routing.
+    def kth_over(statuses):
+        pool = np.sort([
+            dists[oid]
+            for report in outcome.shard_reports
+            if report.status in statuses
+            for oid in router.shards[report.shard_id].oids
+        ])
+        return pool[min(request.k, pool.size) - 1] if pool.size else 0.0
+
     pruned = 0
     for report in outcome.shard_reports:
         if report.status != "pruned":
             continue
         pruned += 1
         stats = router.shards[report.shard_id].stats
-        ok_proof = report.exact_candidates == 0
+        radius = report.prune_radius
+        ok_proof = (
+            report.exact_candidates == 0
+            and stats.candidate_count(report.pivot_dist, radius) == 0
+        )
         if request.kind == "range":
-            ok_proof = ok_proof and (
-                stats.candidate_count(report.pivot_dist, request.radius)
-                == 0
+            ok_proof = ok_proof and radius == request.radius
+        else:
+            seen = ("ok", "pruned") + (
+                () if report.prune_rule == "knn_bound" else ("failed",)
             )
+            ok_proof = ok_proof and radius >= kth_over(seen)
         check(
             ok_proof,
-            f"query {i}: prune of shard {report.shard_id} carries a "
-            "zero-count proof",
+            f"query {i}: {report.prune_rule} prune of shard "
+            f"{report.shard_id} carries a zero-count proof",
             quiet=True,
         )
     return {"pruned": pruned}

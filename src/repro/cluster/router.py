@@ -18,7 +18,14 @@ The router is the cluster's front door.  For every range/k-NN request it
    a **hedged** duplicate request for each shard still silent
    ``hedge_delay_s`` after the scatter began — first good answer
    wins, the loser is cancelled through its
-   :class:`~repro.context.Context`;
+   :class:`~repro.context.Context`.  A k-NN with more than one target
+   scatters in two phases: first only to the target with the smallest
+   pivot distance; when that shard answers ``ok`` with at least ``k``
+   items, its k-th distance — a computed distance, so an upper bound on
+   the global k-th — re-prunes the other targets at that radius
+   (``knn_bound`` rule) and bounds the best-first search of the ones
+   that survive.  Without such an answer (failed, quarantined, or a
+   shard smaller than ``k``) the second phase scatters unbounded;
 4. **gathers** into a typed :class:`RouterOutcome` that always says
    exactly what happened: per-shard reports, object-weighted
    completeness, ``shards_pruned`` / ``shards_failed`` /
@@ -164,6 +171,10 @@ class ShardReport:
     zero contribution — carries the exact annulus count that proves it),
     ``"quarantined"`` (skipped: shard was quarantined at the router)
     or ``"failed"`` (scattered to, but no usable answer came back).
+    A pruned report names the radius its zero count was certified at
+    (``prune_radius``) and the rule that chose it (``prune_rule``:
+    ``annulus`` at classification, ``knn_bound`` for a k-NN target
+    re-pruned at the nearest shard's k-th distance).
     ``attempts`` logs every attempt's terminal status (``ok``,
     ``error``, ``deadline`` or ``cancelled``) in order
     (``[("primary", "cancelled"), ("hedge", "ok")]`` is a hedge win).
@@ -183,6 +194,8 @@ class ShardReport:
     attempts: List[Tuple[str, str]] = field(default_factory=list)
     exact_candidates: Optional[int] = None
     expected_matches: Optional[float] = None
+    prune_radius: Optional[float] = None
+    prune_rule: Optional[str] = None
     quarantine_reason: Optional[str] = None
     error: Optional[str] = None
 
@@ -284,7 +297,8 @@ class ClusterMembership:
 class Router:
     """Scatter-gather over shards with pruning, hedging, and quarantine.
 
-    ``hedge_delay_s=math.inf`` never hedges.
+    ``hedge_delay_s=math.inf`` never hedges.  ``prune=False`` prunes no
+    shard and scatters every k-NN in one unbounded phase.
     """
 
     def __init__(
@@ -475,27 +489,6 @@ class Router:
                 if self.prune and np.isfinite(radius)
                 else None
             )
-            if exact == 0:
-                expected = stats.expected_matches(pivot_dist, radius)
-                reports.append(
-                    ShardReport(
-                        shard_id=shard.shard_id,
-                        status="pruned",
-                        n_objects=shard.n_objects,
-                        pivot_dist=pivot_dist,
-                        completeness=1.0,
-                        exact_candidates=0,
-                        expected_matches=expected,
-                    )
-                )
-                reg = _obs.registry
-                if reg is not None:
-                    reg.inc(
-                        "cluster.prune_decisions",
-                        kind=request.kind,
-                        shard=str(shard.shard_id),
-                    )
-                continue
             report = ShardReport(
                 shard_id=shard.shard_id,
                 status="failed",  # until the scatter says otherwise
@@ -509,7 +502,10 @@ class Router:
                 ),
             )
             reports.append(report)
-            targets.append(shard)
+            if exact == 0:
+                _mark_pruned(report, stats, radius, "annulus", request.kind)
+            else:
+                targets.append(shard)
         return reports, targets, radius
 
     # -- scatter -----------------------------------------------------------
@@ -531,15 +527,17 @@ class Router:
         request: QueryRequest,
         ctx: Context,
         results: "queue.Queue[Tuple[int, str, Any]]",
+        bound: float,
     ) -> None:
         """Run one shard attempt on this thread and post how it ended:
         the shard's outcome, or the exception that ended the attempt.
         A primary retries ``DEFAULT_TRIP_ON`` faults under a bounded
-        policy; a hedge gets exactly one try."""
+        policy; a hedge gets exactly one try.  ``bound`` is passed on
+        to :meth:`Shard.submit`."""
         ended: Any
         try:
             ended = (
-                shard.submit(request, context=ctx)
+                shard.submit(request, context=ctx, bound=bound)
                 if label == "hedge"
                 else RetryPolicy(
                     max_attempts=RETRY_ATTEMPTS,
@@ -547,7 +545,10 @@ class Router:
                     max_delay_s=0.05,
                     retry_on=DEFAULT_TRIP_ON,
                     seed=self.seed + shard.shard_id,
-                ).call(shard.submit, request, context=ctx, deadline=ctx)
+                ).call(
+                    shard.submit, request, context=ctx, deadline=ctx,
+                    bound=bound,
+                )
             )
         except (DeadlineExceededError, OperationCancelledError) as exc:
             ended = exc
@@ -563,14 +564,20 @@ class Router:
         reports: Sequence[ShardReport],
         budget: Optional[Any],
         quarantine: ShardQuarantine,
+        bound: float = math.inf,
     ) -> None:
         """Drive every target shard from this thread: one primary
         attempt thread each, a hedge for each shard still silent
-        ``hedge_delay_s`` after the scatter began, first good answer
+        ``hedge_delay_s`` after this call began, first good answer
         per shard wins and its other attempt is cancelled via its
         context.  Fills in each target's :class:`ShardReport`; a shard
         left with no good answer after a ``DEFAULT_TRIP_ON`` fault goes
-        into the pinned ``quarantine`` as ``unreachable``."""
+        into the pinned ``quarantine`` as ``unreachable``.
+
+        A k-NN runs this twice (see :meth:`_scatter_knn`): once for the
+        nearest target alone, then for the rest with ``bound``, the
+        k-th distance the first answered, passed to every attempt's
+        :meth:`Shard.submit`."""
         start = time.perf_counter()
         results: "queue.Queue[Tuple[int, str, Any]]" = queue.Queue()
         by_id = {report.shard_id: report for report in reports}
@@ -593,7 +600,7 @@ class Router:
             pending[shard.shard_id] = pending.get(shard.shard_id, 0) + 1
             thread = threading.Thread(
                 target=self._attempt,
-                args=(shard, label, attempt_request, ctx, results),
+                args=(shard, label, attempt_request, ctx, results, bound),
                 name=f"route-{shard.shard_id}-{label}",
             )
             threads.append(thread)
@@ -661,6 +668,47 @@ class Router:
                 # so the next queries skip it instantly instead of
                 # re-discovering the fault.
                 quarantine.add(shard.shard_id, "unreachable")
+
+    def _scatter_knn(
+        self,
+        targets: Sequence[Shard],
+        request: QueryRequest,
+        reports: Sequence[ShardReport],
+        budget: Optional[Any],
+        quarantine: ShardQuarantine,
+    ) -> None:
+        """The two-phase k-NN scatter: the target with the smallest pivot
+        distance (ties to the lower id) first; then, when it answered
+        ``ok`` with at least ``k`` items, every other target re-pruned
+        at its k-th distance and the survivors scattered bounded by it.
+        Otherwise the rest scatter unbounded, as a one-phase scatter
+        would."""
+        by_id = {report.shard_id: report for report in reports}
+        first = min(
+            targets, key=lambda s: (by_id[s.shard_id].pivot_dist, s.shard_id)
+        )
+        self._scatter([first], request, reports, budget, quarantine)
+        rest = [shard for shard in targets if shard is not first]
+        lead = by_id[first.shard_id]
+        k = request.k or 1
+        if lead.status != "ok" or len(lead.items) < k:
+            self._scatter(rest, request, reports, budget, quarantine)
+            return
+        # A real computed distance: k objects lie within it, so it
+        # bounds the global k-th distance from above.
+        kth = sorted(dist for _oid, _obj, dist in lead.items)[k - 1]
+        survivors = []
+        for shard in rest:
+            report = by_id[shard.shard_id]
+            if shard.stats.candidate_count(report.pivot_dist, kth) == 0:
+                _mark_pruned(
+                    report, shard.stats, kth, "knn_bound", request.kind
+                )
+            else:
+                survivors.append(shard)
+        self._scatter(
+            survivors, request, reports, budget, quarantine, bound=kth
+        )
 
     # -- gather ------------------------------------------------------------
 
@@ -818,9 +866,14 @@ class Router:
         reports, targets, _radius = self._classify(
             request, pivot_dists, membership
         )
-        self._scatter(
-            targets, request, reports, budget, membership.quarantine
-        )
+        if request.kind == "knn" and self.prune and len(targets) > 1:
+            self._scatter_knn(
+                targets, request, reports, budget, membership.quarantine
+            )
+        else:
+            self._scatter(
+                targets, request, reports, budget, membership.quarantine
+            )
         completeness = self._aggregate_completeness(
             reports, membership.total_objects
         )
@@ -930,6 +983,31 @@ class Router:
             f"Router(shards={len(self.shards)}, "
             f"objects={self.total_objects}, "
             f"quarantined={len(self.quarantine)})"
+        )
+
+
+def _mark_pruned(
+    report: ShardReport,
+    stats: ShardStats,
+    radius: float,
+    rule: str,
+    kind: str,
+) -> None:
+    """Turn ``report`` into a certified prune: its exact candidate count
+    at ``radius`` is zero, so the shard holds nothing within it."""
+    report.status = "pruned"
+    report.completeness = 1.0
+    report.exact_candidates = 0
+    report.expected_matches = stats.expected_matches(report.pivot_dist, radius)
+    report.prune_radius = radius
+    report.prune_rule = rule
+    reg = _obs.registry
+    if reg is not None:
+        reg.inc(
+            "cluster.prune_decisions",
+            kind=kind,
+            shard=str(report.shard_id),
+            rule=rule,
         )
 
 

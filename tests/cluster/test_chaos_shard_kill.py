@@ -104,17 +104,37 @@ def test_mid_workload_shard_kill_keeps_answers_honest(data):
                 if int(j) in reachable:
                     assert int(j) in got
 
-        # Bar 4: pruning decisions carry their exact-count proof.
+        # Bar 4: pruning decisions carry their exact-count proof at the
+        # radius they name; a k-NN prune's radius reaches the true k-th
+        # distance over the objects its rule saw: the reachable ones for
+        # knn_bound (the radius is a returned item's distance), and
+        # also a shard that failed after routing for annulus.
+        def kth_over(statuses):
+            pool = np.sort([
+                all_dists[oid]
+                for report in outcome.shard_reports
+                if report.status in statuses
+                for oid in router.shards[report.shard_id].oids
+            ])
+            return pool[min(request.k, pool.size) - 1]
+
         for report in outcome.shard_reports:
             if report.status == "pruned":
                 assert report.exact_candidates == 0
                 stats = router.shards[report.shard_id].stats
+                assert (
+                    stats.candidate_count(
+                        report.pivot_dist, report.prune_radius
+                    )
+                    == 0
+                )
                 if request.kind == "range":
-                    assert (
-                        stats.candidate_count(
-                            report.pivot_dist, request.radius
-                        )
-                        == 0
+                    assert report.prune_radius == request.radius
+                elif report.prune_rule == "knn_bound":
+                    assert report.prune_radius >= kth_over(("ok", "pruned"))
+                else:
+                    assert report.prune_radius >= kth_over(
+                        ("ok", "pruned", "failed")
                     )
 
     # The dead shard was discovered and quarantined as unreachable.

@@ -287,10 +287,12 @@ class TestEpochFencing:
         scattering, release = threading.Event(), threading.Event()
         submit = slow.submit
 
-        def held_submit(request, deadline=None, context=None):
+        def held_submit(request, deadline=None, context=None, bound=math.inf):
             scattering.set()
             release.wait(timeout=10)
-            return submit(request, deadline=deadline, context=context)
+            return submit(
+                request, deadline=deadline, context=context, bound=bound
+            )
 
         slow.submit = held_submit
         outcomes = []

@@ -17,7 +17,10 @@ clusters from :func:`~repro.cluster.build_cluster` at 1, 2 and 4
 shards: range answers at the same radii, k-NN answers with ties at the
 k-th distance, and the answers with one shard killed or quarantined,
 which must be the truth over the reachable objects with ``completeness``
-naming the missing weight.
+naming the missing weight.  Hand-built clusters on a line pin the
+two-phase k-NN scatter: a tie at the nearest shard's k-th distance held
+by another shard, a nearest shard smaller than k, a nearest shard killed
+or quarantined, and a quarantined subtree inside it.
 
 Every case runs on the numpy kernels and, when the extension is built,
 on the native ones.
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import build_cluster
+from repro.cluster import Router, Shard, ShardStats, build_cluster
 from repro.metrics import EditDistance, L2, LInf, kernels
 from repro.mtree import NodeLayout, bulk_load
 from repro.reliability import QuarantineSet, ShardFaultInjector
@@ -261,6 +264,34 @@ def assert_knn_exact(outcome, dists, k):
         assert {o for o, d in dists.items() if d < kth} <= got.keys()
 
 
+def assert_prunes_certified(outcome, router, dists, k):
+    """Every prune re-proves: a zero annulus count at the radius it names,
+    and for a k-NN that radius reaches the true k-th distance over
+    ``dists`` (oid -> distance of the reachable objects)."""
+    ordered = sorted(dists.values())
+    for report in outcome.shard_reports:
+        if report.status != "pruned":
+            continue
+        stats = router.shards[report.shard_id].stats
+        assert report.exact_candidates == 0
+        assert stats.candidate_count(report.pivot_dist, report.prune_radius) == 0
+        if ordered:
+            assert report.prune_radius >= ordered[min(k, len(ordered)) - 1]
+
+
+def assert_dists_within_unbounded(outcome, router, query, k):
+    """The routed k-NN computes no more distances than the pivots plus
+    an unbounded search on every shard it scattered to."""
+    unbounded = sum(
+        router.shards[r.shard_id]
+        .tree.knn_query(query, min(k, r.n_objects))
+        .stats.dists_computed
+        for r in outcome.shard_reports
+        if r.status != "quarantined" and r.prune_rule != "annulus"
+    )
+    assert outcome.dists <= len(router.shards) + unbounded
+
+
 def assert_missing_weight(outcome, shard, total):
     """``completeness`` is 1 minus the shard's weight unless the cost
     model pruned the shard, which then costs the answer nothing."""
@@ -309,6 +340,8 @@ def test_router_knn_matches_linear_scan(space, n_shards, backend, data):
             assert outcome.ok
             assert outcome.completeness == 1.0
             assert_knn_exact(outcome, dict(enumerate(dists)), k)
+            assert_prunes_certified(outcome, router, dict(enumerate(dists)), k)
+            assert_dists_within_unbounded(outcome, router, query, k)
 
 
 @pytest.mark.parametrize("backend", backends())
@@ -389,3 +422,145 @@ def test_router_with_quarantined_shard_answers_the_reachable_truth(
                 {o: d for o, d in enumerate(dists) if o not in lost},
                 k,
             )
+
+
+# -- Router: the two-phase k-NN scatter on hand-built clusters ---------------
+#
+# Objects lie on the x axis and the query is the origin, so every
+# distance is |x| on both vector metrics.  Shard 0 has the nearest pivot
+# and answers first; its 2nd distance is 0.2.  Shard 1 survives the
+# annulus prune but holds nothing within 0.2, so the bound prunes it.
+# Shard 2 holds a copy of shard 0's object at 0.2: a tie at the bound.
+
+LINE = [
+    (0.5, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+    (-0.55, [-0.5, -0.55, -0.6]),
+    (0.7, [0.2, 0.7, 0.9]),
+]
+ORIGIN = (0.0, 0.0, 0.0)
+
+
+def _point(x):
+    return (x, 0.0, 0.0)
+
+
+def line_cluster(metric):
+    """One shard per ``LINE`` group, pivot given, global oids in order."""
+    shards, oid = [], 0
+    for shard_id, (pivot, xs) in enumerate(LINE):
+        objects = [_point(x) for x in xs]
+        shards.append(
+            Shard(
+                shard_id=shard_id,
+                objects=objects,
+                oids=range(oid, oid + len(objects)),
+                metric=metric,
+                stats=ShardStats.from_objects(
+                    shard_id, objects, _point(pivot), metric, d_plus=3.0
+                ),
+                seed=1,
+            )
+        )
+        oid += len(objects)
+    router = Router(shards, metric, shard_timeout_s=60.0)
+    dists = {
+        o: abs(x) for o, x in enumerate(x for _p, xs in LINE for x in xs)
+    }
+    return router, dists
+
+
+LINE_METRICS = {"L2": L2(), "Linf": LInf()}
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("space", sorted(LINE_METRICS))
+def test_knn_bound_keeps_a_tie_held_by_another_shard(space, backend):
+    with kernels.use_backend(backend):
+        router, dists = line_cluster(LINE_METRICS[space])
+        outcome = router.execute(QueryRequest("knn", ORIGIN, k=2))
+        assert outcome.ok and outcome.completeness == 1.0
+        assert_knn_exact(outcome, dists, 2)
+        first, beyond, tie = outcome.shard_reports
+        assert first.status == "ok" and first.prune_rule is None
+        assert beyond.status == "pruned"
+        assert beyond.prune_rule == "knn_bound"
+        assert beyond.prune_radius == pytest.approx(0.2)
+        # The copy at exactly the bound comes back; nothing beyond it.
+        assert tie.status == "ok"
+        assert [d for _o, _obj, d in tie.items] == [first.items[1][2]]
+        assert_prunes_certified(outcome, router, dists, 2)
+        assert_dists_within_unbounded(outcome, router, ORIGIN, 2)
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("space", sorted(LINE_METRICS))
+def test_nearest_shard_smaller_than_k_gives_no_bound(space, backend):
+    with kernels.use_backend(backend):
+        router, dists = line_cluster(LINE_METRICS[space])
+        k = len(LINE[0][1]) + 2
+        outcome = router.execute(QueryRequest("knn", ORIGIN, k=k))
+        assert outcome.ok and outcome.completeness == 1.0
+        assert_knn_exact(outcome, dists, k)
+        assert outcome.shard_reports[0].status == "ok"
+        assert len(outcome.shard_reports[0].items) < k
+        assert all(r.prune_rule != "knn_bound" for r in outcome.shard_reports)
+        assert_prunes_certified(outcome, router, dists, k)
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("space", sorted(LINE_METRICS))
+@pytest.mark.parametrize("fault", ["killed", "quarantined"])
+def test_unreachable_nearest_shard_answers_the_reachable_truth(
+    fault, space, backend
+):
+    with kernels.use_backend(backend):
+        router, dists = line_cluster(LINE_METRICS[space])
+        nearest = router.shards[0]
+        if fault == "killed":
+            ShardFaultInjector(seed=1).kill(nearest)
+        else:
+            router.quarantine.add(nearest.shard_id, "manual")
+        reachable = {o: d for o, d in dists.items() if o not in nearest.oids}
+        # The first query discovers a killed shard, the second skips it.
+        for _ in range(2):
+            outcome = router.execute(QueryRequest("knn", ORIGIN, k=2))
+            assert outcome.ok
+            assert outcome.shard_reports[0].status in ("failed", "quarantined")
+            assert_missing_weight(outcome, nearest, len(dists))
+            assert_knn_exact(outcome, reachable, 2)
+            assert all(
+                r.prune_rule != "knn_bound" for r in outcome.shard_reports
+            )
+            assert_prunes_certified(outcome, router, reachable, 2)
+        assert router.quarantine.contains(nearest.shard_id)
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("space", sorted(LINE_METRICS))
+def test_quarantined_subtree_in_the_nearest_shard_still_bounds(
+    space, backend
+):
+    with kernels.use_backend(backend):
+        router, dists = line_cluster(LINE_METRICS[space])
+        nearest = router.shards[0]
+        victim = next(c for c in nearest.tree.root.children if c is not None)
+        nearest.quarantine.add(victim)
+        lost, stack = set(), [victim]
+        while stack:
+            node = stack.pop()
+            lost.add(nearest.oids[node.oid])
+            stack.extend(c for c in node.children if c is not None)
+        reachable = {o: d for o, d in dists.items() if o not in lost}
+        outcome = router.execute(QueryRequest("knn", ORIGIN, k=2))
+        assert outcome.ok
+        first = outcome.shard_reports[0]
+        assert first.status == "ok" and first.completeness < 1.0
+        assert outcome.degraded
+        assert outcome.completeness == pytest.approx(
+            1.0 - len(lost) / len(dists)
+        )
+        assert_knn_exact(outcome, reachable, 2)
+        # The bound came from the reachable part of shard 0: still an
+        # upper bound on the reachable k-th distance.
+        assert_prunes_certified(outcome, router, reachable, 2)
+        assert_dists_within_unbounded(outcome, router, ORIGIN, 2)

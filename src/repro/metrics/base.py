@@ -95,6 +95,19 @@ class Metric(ABC):
         """
         return [y for block in blocks for y in block]
 
+    def take(self, block: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
+        """The block of ``block``'s objects at ``indices`` (an int
+        array), in that order.
+
+        ``one_to_many(x, take(b, i))`` equals ``one_to_many(x, b)[i]``
+        (and likewise for the bounded call), so a caller that filters a
+        cached block's objects needs no new :meth:`encode`.  The default
+        picks list items; :class:`~repro.metrics.minkowski.MinkowskiMetric`
+        picks matrix rows and :class:`~repro.metrics.strings.EditDistance`
+        a string block's strings with their codepoints.
+        """
+        return [block[i] for i in indices.tolist()]
+
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         """Return element-wise distances between aligned sequences.
 
@@ -181,6 +194,10 @@ class CountingMetric(Metric):
     def join(self, blocks: Sequence[Sequence[Any]]) -> Sequence[Any]:
         """The inner metric's join; joining computes no distance."""
         return self.inner.join(blocks)
+
+    def take(self, block: Sequence[Any], indices: np.ndarray) -> Sequence[Any]:
+        """The inner metric's take; taking computes no distance."""
+        return self.inner.take(block, indices)
 
     def rowwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
         self.calls += len(xs)

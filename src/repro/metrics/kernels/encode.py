@@ -139,6 +139,24 @@ class StringBlock(tuple):
             self._codes = codes
         return codes
 
+    def take(self, indices: np.ndarray) -> "StringBlock":
+        """The strings at ``indices`` (an int array) in one block: the
+        CSR arrays are gathered, nothing is re-encoded."""
+        indices = np.asarray(indices, dtype=np.int64)
+        block = super().__new__(
+            type(self), map(self.__getitem__, indices.tolist())
+        )
+        lengths = self.lengths[indices]
+        offsets = np.zeros(len(block) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        # Character t of the gathered data comes from its string's start
+        # in the old data plus its position within the string.
+        shift = np.repeat(self.offsets[indices] - offsets[:-1], lengths)
+        block._set_csr(
+            self.data[shift + np.arange(int(offsets[-1]))], offsets
+        )
+        return block
+
     @classmethod
     def join(cls, blocks: Sequence[Sequence[str]]) -> "StringBlock":
         """One block holding every block's strings in order: the CSR

@@ -22,6 +22,7 @@ from .encode import as_string_block, codepoints, encode_id_sets
 _ckernels = importlib.import_module("repro.metrics._ckernels")
 
 __all__ = [
+    "minkowski_one_to_many",
     "minkowski_pairwise",
     "minkowski_rowwise",
     "hamming_pairwise",
@@ -41,6 +42,14 @@ def minkowski_pairwise(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     out = np.empty((m, n), dtype=np.float64)
     if m and n:
         _ckernels.minkowski_pairwise(x, y, out, float(p), m, n, d)
+    return out
+
+
+def minkowski_one_to_many(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """``x`` a C-contiguous float64 vector, ``y`` a non-empty matrix."""
+    n, d = y.shape
+    out = np.empty(n, dtype=np.float64)
+    _ckernels.minkowski_pairwise(x, y, out, float(p), 1, n, d)
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from . import kernels
 from .base import Metric, _check_bound
-from .kernels.encode import StringBlock
+from .kernels.encode import StringBlock, as_string_block
 
 __all__ = ["EditDistance", "WeightedEditDistance", "edit_distance"]
 
@@ -112,6 +112,11 @@ class EditDistance(Metric):
         """The blocks' strings in one block; their codepoint arrays are
         concatenated, not re-encoded."""
         return StringBlock.join(blocks)
+
+    def take(self, block: Sequence[str], indices: np.ndarray) -> StringBlock:
+        """The block's strings at ``indices``; their codepoints are
+        gathered from the block's arrays, not re-encoded."""
+        return as_string_block(block).take(indices)
 
     def rowwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         return kernels.levenshtein_rowwise(xs, ys)

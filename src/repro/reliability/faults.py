@@ -365,7 +365,7 @@ class StructuralFaultInjector:
             )
         node, entry, max_dist = self._rng.choice(candidates)
         old_radius = entry.radius
-        entry.radius = max_dist * 0.5
+        node.set_radius(entry, max_dist * 0.5)
         return {
             "kind": "radius_violation",
             "node_id": id(node),
@@ -388,7 +388,7 @@ class StructuralFaultInjector:
             )
         node, entry = self._rng.choice(victims)
         old = entry.dist_to_parent
-        entry.dist_to_parent = old + 0.5 * (1.0 + old)
+        node.set_parent_distance(entry, old + 0.5 * (1.0 + old))
         return {
             "kind": "parent_distance_skew",
             "node_id": id(node),

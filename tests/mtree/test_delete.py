@@ -101,6 +101,22 @@ class TestDelete:
         tree.validate()
         assert len(tree) == 100
 
+    def test_reattach_split_propagates_up(self):
+        """A subtree re-attached after an underflow can overflow its new
+        parent, and the split that fixes it can overflow the grandparent;
+        every overflow is split.  With this seed the re-attach split once
+        left a 5-entry internal node in a layout of capacity 4."""
+        rng = np.random.default_rng(29)
+        points = rng.random((300, 2))
+        layout = NodeLayout(
+            node_size_bytes=96, object_bytes=8, min_utilization=0.3
+        )
+        tree = MTree(L2(), layout, seed=0)
+        tree.insert_many(points)
+        for i in rng.permutation(len(points))[:60].tolist():
+            assert tree.delete(points[i], oid=i)
+            tree.validate()
+
     def test_delete_from_empty_tree(self):
         from repro.mtree import vector_layout
 

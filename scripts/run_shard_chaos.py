@@ -157,10 +157,8 @@ def audit_outcome(outcome, router, points, metric, floor, check) -> dict:
         )
 
     # Every prune re-proves at the radius it names: a range prune at the
-    # query radius, a k-NN prune at a radius no smaller than the true
-    # k-th distance over the objects its rule saw.  A knn_bound radius is
-    # a returned item's distance, so it bounds the reachable objects; an
-    # annulus radius also counts shards that failed after routing.
+    # query radius, a k-NN prune (either rule) at a radius no smaller
+    # than the true k-th distance over the reachable objects.
     def kth_over(statuses):
         pool = np.sort([
             dists[oid]
@@ -184,10 +182,7 @@ def audit_outcome(outcome, router, points, metric, floor, check) -> dict:
         if request.kind == "range":
             ok_proof = ok_proof and radius == request.radius
         else:
-            seen = ("ok", "pruned") + (
-                () if report.prune_rule == "knn_bound" else ("failed",)
-            )
-            ok_proof = ok_proof and radius >= kth_over(seen)
+            ok_proof = ok_proof and radius >= kth_over(("ok", "pruned"))
         check(
             ok_proof,
             f"query {i}: {report.prune_rule} prune of shard "

@@ -106,9 +106,7 @@ def test_mid_workload_shard_kill_keeps_answers_honest(data):
 
         # Bar 4: pruning decisions carry their exact-count proof at the
         # radius they name; a k-NN prune's radius reaches the true k-th
-        # distance over the objects its rule saw: the reachable ones for
-        # knn_bound (the radius is a returned item's distance), and
-        # also a shard that failed after routing for annulus.
+        # distance over the reachable objects, for both rules.
         def kth_over(statuses):
             pool = np.sort([
                 all_dists[oid]
@@ -130,12 +128,8 @@ def test_mid_workload_shard_kill_keeps_answers_honest(data):
                 )
                 if request.kind == "range":
                     assert report.prune_radius == request.radius
-                elif report.prune_rule == "knn_bound":
-                    assert report.prune_radius >= kth_over(("ok", "pruned"))
                 else:
-                    assert report.prune_radius >= kth_over(
-                        ("ok", "pruned", "failed")
-                    )
+                    assert report.prune_radius >= kth_over(("ok", "pruned"))
 
     # The dead shard was discovered and quarantined as unreachable.
     assert router.quarantine.reason(victim.shard_id) == "unreachable"

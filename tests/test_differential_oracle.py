@@ -26,6 +26,17 @@ bulk-loaded and inserted trees, where the order of an L_p sum shows in
 its last bit: each must be found at radius zero, and at exactly its
 distance from another stored vector, with and without parent pruning.
 
+A fourth property pins every view an
+:class:`~repro.ingest.IngestService` publishes while small batches
+apply, from a single leaf to a tree of height 3 or more: at the end
+each view must still have the structure it had when pinned (nodes,
+entries, stored values, cached blocks), pass ``validate()`` and answer
+range and k-NN queries exactly over the objects it holds.  Two
+deterministic cases check the same isolation for deletes on a clone
+(with underflow and re-attached subtrees), and that inserts and
+deletes on a never-cloned tree keep every node they do not split or
+dissolve.
+
 The same truth checks :meth:`~repro.cluster.Router.execute` over
 clusters from :func:`~repro.cluster.build_cluster` at 1, 2 and 4
 shards: range answers at the same radii, k-NN answers with ties at the
@@ -46,12 +57,15 @@ on the native ones.
 from __future__ import annotations
 
 import math
+import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Router, Shard, ShardStats, build_cluster
+from repro.ingest import IngestService
 from repro.metrics import EditDistance, L1, L2, LInf, kernels
 from repro.mtree import MTree, NodeLayout, bulk_load
 from repro.reliability import QuarantineSet, ShardFaultInjector
@@ -360,6 +374,218 @@ def test_stored_wide_vectors_are_found_at_their_own_distances(
                 knn = tree.knn_query(query, k, use_parent_pruning=pruning)
                 assert knn.neighbors[0].distance == 0.0
                 assert_knn_exact(neighbor_items(knn), dict(enumerate(dists)), k)
+
+
+# -- IngestService: every published epoch view -------------------------------
+
+INGEST_SETTINGS = settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+MIN_APPLIES = 30
+
+
+def warm(tree):
+    """Build every node's block and columns, as readers of a view do."""
+    for node in tree.iter_nodes():
+        node.block(tree.metric)
+        node.parent_distances
+        if node.is_leaf:
+            node.oids, node.objects
+        else:
+            node.radii, node.children
+
+
+def fingerprint(tree):
+    """What a pinned tree must keep: its nodes and their entries (both
+    by identity), each entry's stored values, the children and the
+    cached blocks."""
+    return [
+        (
+            node,
+            node.entries,
+            [
+                (entry.oid, entry.obj, entry.dist_to_parent)
+                if node.is_leaf
+                else (entry.obj, entry.radius, entry.dist_to_parent, entry.child)
+                for entry in node.entries
+            ],
+            node.cached_block(tree.metric),
+        )
+        for node in tree.iter_nodes()
+    ]
+
+
+def assert_unchanged(tree, pinned):
+    """``tree`` still has the fingerprint ``pinned``; compares objects
+    by identity and stored values by value.  Run it before any query
+    on ``tree``, since a query rebuilds a dropped block."""
+    now = fingerprint(tree)
+    assert len(now) == len(pinned)
+    for (node, entries, values, block), (node0, entries0, values0, block0) in zip(
+        now, pinned
+    ):
+        assert node is node0
+        assert len(entries) == len(entries0)
+        assert all(a is b for a, b in zip(entries, entries0))
+        assert len(values) == len(values0)
+        for value, value0 in zip(values, values0):
+            assert all(
+                a is b or a == b for a, b in zip(value, value0)
+            ), (value, value0)
+        assert block is block0
+
+
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("space", sorted(SPACES))
+@INGEST_SETTINGS
+@given(data=st.data())
+def test_every_published_ingest_view_stays_exact(space, backend, data):
+    """Batches of one or two objects apply while every published view
+    stays pinned; the tree grows from one leaf to height 3 or more, so
+    leaves and internal nodes split and the root grows.  At the end
+    each view still has the fingerprint it had when pinned, passes
+    ``validate()``, and answers range and k-NN queries (ties at the
+    k-th distance included) exactly over the objects it holds."""
+    metric, item = SPACES[space]
+    with kernels.use_backend(backend), tempfile.TemporaryDirectory() as where:
+        objects = data.draw(
+            st.lists(item, min_size=2 * MIN_APPLIES, max_size=80),
+            label="objects",
+        )
+        objects = draw_repeats(data, objects)
+        queries = [data.draw(item, label=f"query{i}") for i in range(2)]
+        service = IngestService(where, metric, LAYOUT, fsync="never")
+        service.recover()
+        service.append(objects)
+        views = []
+        while service.pending_count():
+            service.apply(max_objects=data.draw(st.integers(1, 2)))
+            view = service.view()
+            warm(view.tree)
+            views.append((view, fingerprint(view.tree)))
+        service.close()
+        assert len(views) >= MIN_APPLIES
+        assert views[0][0].tree.height == 1
+        assert views[-1][0].tree.height >= 3
+        for view, pinned in views:
+            assert_unchanged(view.tree, pinned)
+        for view, _pinned in views:
+            view.tree.validate()
+            present = objects[:view.seq]
+            assert len(view.tree) == len(present)
+            scan = LinearScanBaseline(present, metric, 1, 1)
+            for query in queries:
+                radius = draw_radius(data, metric, query, present)
+                result = view.tree.range_query(query, radius)
+                got = {oid: dist for oid, _obj, dist in result.items}
+                assert got == truth_map(scan, query, radius)
+                dists = [float(d) for d in metric.one_to_many(query, present)]
+                k = draw_k(data, dists)
+                assert_knn_exact(
+                    neighbor_items(view.tree.knn_query(query, k)),
+                    dict(enumerate(dists)),
+                    k,
+                )
+
+
+def reattach_tree(rng):
+    """An inserted L2 tree whose deletes underflow internal nodes, so
+    subtrees are re-attached (the layout of
+    ``test_reattach_split_propagates_up``), and its points."""
+    points = rng.random((300, 2))
+    layout = NodeLayout(node_size_bytes=96, object_bytes=8, min_utilization=0.3)
+    tree = MTree(L2(), layout, seed=0)
+    tree.insert_many(points)
+    return tree, points
+
+
+@pytest.fixture
+def reattached(monkeypatch):
+    """The orphans ``MTree._reattach_subtree`` is called with."""
+    calls = []
+    original = MTree._reattach_subtree
+
+    def spy(self, orphan):
+        calls.append(orphan)
+        return original(self, orphan)
+
+    monkeypatch.setattr(MTree, "_reattach_subtree", spy)
+    return calls
+
+
+@pytest.mark.parametrize("backend", backends())
+def test_deletes_on_a_twin_leave_the_original_unchanged(backend, reattached):
+    with kernels.use_backend(backend):
+        rng = np.random.default_rng(29)
+        tree, points = reattach_tree(rng)
+        warm(tree)
+        pinned = fingerprint(tree)
+        twin = tree.clone()
+        gone = rng.permutation(len(points))[:150].tolist()
+        for i in gone:
+            assert twin.delete(points[i], oid=i)
+        assert reattached
+        twin.validate()
+        assert_unchanged(tree, pinned)
+        tree.validate()
+        query = np.full(2, 0.5)
+        scan = LinearScanBaseline(list(points), L2(), 1, 1)
+        truth = truth_map(scan, query, 0.3)
+        assert set(tree.range_query(query, 0.3).oids()) == truth.keys()
+        assert set(twin.range_query(query, 0.3).oids()) == truth.keys() - set(
+            gone
+        )
+
+
+def lost_nodes(tree, before):
+    """The nodes of ``before`` no longer in ``tree``."""
+    now = {id(node) for node in tree.iter_nodes()}
+    return [node for node in before if id(node) not in now]
+
+
+@pytest.mark.parametrize("backend", backends())
+def test_a_never_cloned_tree_keeps_its_nodes(backend, reattached):
+    """Inserts and deletes write a never-cloned tree in place: the only
+    nodes that leave it are those that overflowed and split, those
+    that underflowed and were dissolved, and a root collapsed onto its
+    only child."""
+    with kernels.use_backend(backend):
+        rng = np.random.default_rng(29)
+        tree, points = reattach_tree(rng)
+        layout = tree.layout
+
+        def capacity(node):
+            if node.is_leaf:
+                return layout.leaf_capacity
+            return layout.internal_capacity
+
+        def floor(node):
+            if node.is_leaf:
+                return max(1, layout.leaf_min_entries)
+            return max(2, layout.internal_min_entries)
+
+        splits = 0
+        for point in rng.random((60, 2)):
+            before = list(tree.iter_nodes())
+            tree.insert(point)
+            lost = lost_nodes(tree, before)
+            assert all(len(node) > capacity(node) for node in lost)
+            splits += bool(lost)
+        assert splits
+        for i in rng.permutation(len(points))[:150].tolist():
+            before = list(tree.iter_nodes())
+            root = tree.root
+            assert tree.delete(points[i], oid=i)
+            for node in lost_nodes(tree, before):
+                assert (
+                    len(node) > capacity(node)
+                    or len(node) < floor(node)
+                    or (node is root and len(node) == 1)
+                ), node
+        assert reattached
+        tree.validate()
 
 
 def assert_honest(result, log, parent, lost, objects):

@@ -21,7 +21,8 @@ QueryService` wrapped around one shared M-tree:
    curve accumulates a trajectory across revisions.
 4. **Sustained insert rate** — objects streamed through
    :class:`repro.ingest.IngestService` (WAL append + clone-then-publish
-   apply) per fsync policy, plus checkpoint and WAL-replay recovery
+   apply, where the clone copies only the paths a batch writes) per
+   fsync policy, plus checkpoint and WAL-replay recovery
    timing.  Rows accumulate in ``benchmarks/BENCH_ingest.json``.
 """
 

@@ -13,8 +13,12 @@ keeps growing while queries run — gets its production shape here:
   publishes the result as a new immutable :class:`TreeView` by
   compare-and-swap under a strictly increasing epoch, through the same
   :class:`~repro.service.EpochCell` that holds the cluster membership.
-  Readers pin a view once and query it lock-free: a published tree is
-  never mutated again, so every answer is exact for exactly one epoch;
+  The clone (:meth:`~repro.mtree.MTree.clone`) shares every node with
+  the published tree and copies only the nodes on the paths the
+  batch's inserts write, so a batch costs its paths, not the tree.
+  Readers pin a view once and query it lock-free: no one writes a
+  published tree's nodes again, so every answer is exact for exactly
+  one epoch;
 * :meth:`IngestService.checkpoint` commits ``{tree snapshot, WAL
   high-water mark}`` through a
   :class:`~repro.service.GenerationStore` — the manifest replace is the
@@ -403,9 +407,11 @@ class IngestService:
     def apply(self, max_objects: Optional[int] = None) -> ApplyOutcome:
         """Fold pending records into a fresh clone and publish it.
 
-        Clone-then-publish is what buys snapshot isolation: the
-        currently published tree is never touched, so readers pinned to
-        it keep getting exact answers while this round runs.  Poison
+        Clone-then-publish is what buys snapshot isolation: the clone
+        shares the published tree's nodes, and its inserts copy every
+        shared node on their paths before writing it, so the published
+        tree is never touched and readers pinned to it keep getting
+        exact answers while this round runs.  Poison
         objects are surfaced as typed failures (their sequence numbers
         still advance the high-water mark — they fail deterministically
         on every replay too, so the histories stay convergent).

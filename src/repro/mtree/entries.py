@@ -29,6 +29,9 @@ class LeafEntry:
         self.oid = oid
         self.dist_to_parent = dist_to_parent
 
+    def copy(self) -> "LeafEntry":
+        return LeafEntry(self.obj, self.oid, self.dist_to_parent)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LeafEntry(oid={self.oid})"
 
@@ -53,6 +56,10 @@ class RoutingEntry:
         self.radius = radius
         self.child = child
         self.dist_to_parent = dist_to_parent
+
+    def copy(self) -> "RoutingEntry":
+        """A copy pointing at the same child."""
+        return RoutingEntry(self.obj, self.radius, self.child, self.dist_to_parent)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RoutingEntry(radius={self.radius:.4g})"

@@ -117,6 +117,10 @@ class TestInsertReport:
 
 class TestClone:
     def test_clone_is_independent_and_free(self):
+        """A twin shares the original's nodes and computes no distance.
+        Growing it costs the distances growing a never-cloned tree
+        costs (a copy computes none) and leaves the original's nodes
+        and entries as they were."""
         points = _points(150)
         counting = CountingMetric(L2())
         tree = MTree(counting, LAYOUT)
@@ -124,19 +128,30 @@ class TestClone:
         before = counting.calls
         twin = tree.clone()
         assert counting.calls == before  # zero distances computed
+        assert twin.root is tree.root
         twin.validate()
         assert len(twin) == len(tree)
+        nodes = [(node, node.entries) for node in tree.iter_nodes()]
         # Growing the clone leaves the original untouched.
         extra = _points(30, seed=7)
+        start = counting.calls
         twin.insert_many(extra)
+        grown = counting.calls - start
         assert len(twin) == 180
         assert len(tree) == 150
+        assert [(node, node.entries) for node in tree.iter_nodes()] == nodes
         tree.validate()
+        twin.validate()
         query = points[0]
         assert sorted(tree.range_query(query, 0.3).oids()) == sorted(
             oid for oid in twin.range_query(query, 0.3).oids() if oid < 150
         )
-
+        alone = CountingMetric(L2())
+        in_place = MTree(alone, LAYOUT)
+        in_place.insert_many(points)
+        start = alone.calls
+        in_place.insert_many(extra)
+        assert alone.calls - start == grown
     def test_clone_continues_oid_sequence(self):
         tree = MTree(L2(), LAYOUT)
         tree.insert_many(_points(5))

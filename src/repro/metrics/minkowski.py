@@ -47,15 +47,19 @@ class MinkowskiMetric(Metric):
         self.name = "Linf" if math.isinf(self.p) else f"L{self.p:g}"
 
     def distance(self, a, b) -> float:
-        diff = np.subtract(
-            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        )
+        x = np.asarray(a, dtype=np.float64)
+        y = np.asarray(b, dtype=np.float64)
+        diff = np.subtract(x, y)
         if math.isinf(self.p):  # a maximum does not depend on the order
             return float(np.abs(diff).max(initial=0.0))
         # A sum does: the kernels' reduction, so a distance computed here
         # (say, an inserted object's parent distance) equals the one a
-        # search computes for the same pair.
-        return float(fallback.minkowski_norms(diff.reshape(1, -1), self.p)[0])
+        # search computes for the same pair.  numpy's L1/L2 sums are
+        # bit-equal to the native ones; its powers are not always equal
+        # to the C pow, so other p sum on the active backend.
+        if self.p in (1.0, 2.0) or kernels.active_backend() == "numpy":
+            return float(fallback.minkowski_norms(diff.reshape(1, -1), self.p)[0])
+        return float(self.one_to_many(x, y.reshape(1, -1))[0])
 
     def pairwise(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         return kernels.minkowski_pairwise(xs, ys, self.p)

@@ -35,6 +35,7 @@ from repro.metrics import (
 )
 from repro.metrics.kernels import fallback
 from repro.metrics.kernels.encode import StringBlock, codepoints, encode_strings
+from repro.mtree import MTree, NodeLayout
 
 # BMP (é, €) and astral (𝔸) characters exercise the UTF-32 encoding.
 WORD = st.text(alphabet="abcdefgé€𝔸", min_size=0, max_size=16)
@@ -282,6 +283,36 @@ def test_numpy_minkowski_sums_coordinates_in_order():
             for name, values in got.items():
                 expect = want if name == "pairwise" else want[0]
                 assert np.array_equal(values, expect), (rows, p, name)
+
+
+@pytest.mark.skipif(
+    not kernels.native_available(), reason="native extension not built"
+)
+@pytest.mark.parametrize("p", [2.5, 3.0])
+def test_native_lp_distance_equals_the_search(p):
+    """numpy's power and the C kernel's pow differ in the last bit for
+    some rows, so on native ``distance`` must sum with the kernel: an
+    inserted tree stores parent distances from ``distance`` and a
+    search recomputes them with ``one_to_many``.  Every stored object
+    is then found at radius zero, with and without parent pruning."""
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-1, 1, (300, 8)) * 10.0 ** rng.integers(
+        -3, 3, (300, 8)
+    )
+    metric = MinkowskiMetric(p)
+    layout = NodeLayout(node_size_bytes=256, object_bytes=32)
+    with kernels.use_backend("native"):
+        for x in points[:20]:
+            assert np.array_equal(
+                [metric.distance(x, y) for y in points],
+                metric.one_to_many(x, points),
+            )
+        tree = MTree(metric, layout, seed=1)
+        tree.insert_many(points)
+        for i, point in enumerate(points):
+            for pruning in (False, True):
+                found = tree.range_query(point, 0.0, use_parent_pruning=pruning)
+                assert i in found.oids(), (i, pruning)
 
 
 # --------------------------------------------------------------- Hamming

@@ -117,6 +117,28 @@ class TestDelete:
             assert tree.delete(points[i], oid=i)
             tree.validate()
 
+    @pytest.mark.parametrize("seed", [1, 56])
+    def test_underflow_repair_survives_a_split_on_its_path(self, seed):
+        """Re-inserting a dissolved node's entries can split a node on
+        the delete's path.  With these seeds, repairing each level right
+        after the one below once went on from a split node no longer in
+        the tree: it dissolved a live child (a subtree with two parents)
+        or lost objects."""
+        rng = np.random.default_rng(seed)
+        points = rng.random((200, 2))
+        layout = NodeLayout(
+            node_size_bytes=96, object_bytes=8, min_utilization=0.45
+        )
+        tree = MTree(L2(), layout, seed=0)
+        tree.insert_many(points)
+        gone = rng.permutation(len(points))[:40].tolist()
+        for i in gone:
+            assert tree.delete(points[i], oid=i)
+            tree.validate()
+        assert sorted(oid for oid, _obj in tree.iter_objects()) == sorted(
+            set(range(len(points))) - set(gone)
+        )
+
     def test_delete_from_empty_tree(self):
         from repro.mtree import vector_layout
 

@@ -246,6 +246,8 @@ def test_unexpected_shard_exception_fails_the_shard_not_the_scatter(data):
     victim = router.shards[1]
 
     def broken_range_query(*_args, **_kwargs):
+        # metalint: ignore[exception-hierarchy] — deliberately foreign:
+        # the test models a non-library bug inside a shard
         raise TypeError("a bug inside the shard")
 
     victim.tree.range_query = broken_range_query

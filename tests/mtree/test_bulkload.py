@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.datasets import clustered_dataset, keyword_dataset
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.metrics import L2, EditDistance, LInf
 from repro.mtree import NodeLayout, bulk_load, string_layout, vector_layout
@@ -143,3 +146,64 @@ class TestBulkLoadVsDynamic:
         bulk_mean = np.mean([s.radius for s in bulk_stats if s.level > 1])
         dyn_mean = np.mean([s.radius for s in dyn_stats if s.level > 1])
         assert bulk_mean <= dyn_mean * 1.25
+
+
+def _fingerprint(tree):
+    """SHA-256 over the tree depth first in entry order: each node's kind
+    and size, and per entry the oid (leaf) or covering radius (internal),
+    the parent distance and the object, every number by its bits."""
+    digest = hashlib.sha256()
+
+    def bits(value):
+        if isinstance(value, str):
+            return value.encode("utf-8")
+        return np.asarray(value, dtype=np.float64).tobytes()
+
+    def walk(node):
+        digest.update(b"L" if node.is_leaf else b"I")
+        digest.update(len(node.entries).to_bytes(4, "little"))
+        for entry in node.entries:
+            if node.is_leaf:
+                digest.update(int(entry.oid).to_bytes(8, "little", signed=True))
+            else:
+                digest.update(bits(entry.radius))
+            digest.update(bits(entry.dist_to_parent))
+            digest.update(bits(entry.obj))
+            if not node.is_leaf:
+                walk(entry.child)
+
+    walk(tree.root)
+    return digest.hexdigest()
+
+
+#: (height, node count, fingerprint) of the trees below.
+PINNED = {
+    "linf": (
+        3, 206,
+        "dc7550b2db23fd240d36976dc3790c2a6ee114a35b2a540c7b26648c8d27d16f",
+    ),
+    "words": (
+        5, 409,
+        "a2ca1c9829acb62683e66d8128424057c7e5f26719ebf119743d5426399d5579",
+    ),
+}
+
+
+class TestBuildIsPinned:
+    """The tree a fixed seed builds, pinned node for node: a change to
+    how bulk loading computes or groups distances shows up here even if
+    the tree stays valid."""
+
+    def test_linf_vectors(self):
+        data = clustered_dataset(3000, 8, metric=LInf(), seed=11)
+        layout = vector_layout(8, node_size_bytes=1024)
+        tree = bulk_load(data.points, LInf(), layout, seed=5)
+        assert (tree.height, tree.n_nodes()) == PINNED["linf"][:2]
+        assert _fingerprint(tree) == PINNED["linf"][2]
+
+    def test_words(self):
+        words = keyword_dataset(1500, seed=3).words
+        layout = string_layout(20, node_size_bytes=256)
+        tree = bulk_load(words, EditDistance(), layout, seed=5)
+        assert (tree.height, tree.n_nodes()) == PINNED["words"][:2]
+        assert _fingerprint(tree) == PINNED["words"][2]

@@ -45,26 +45,29 @@ MAX_SEEDS = 48
 
 
 def _partition_indices(
-    objects: Sequence[Any],
+    block: Sequence[Any],
     indices: np.ndarray,
     capacity: int,
     min_entries: int,
     metric: Metric,
     rng: np.random.Generator,
 ) -> List[np.ndarray]:
-    """Recursively cluster ``indices`` into groups of size <= capacity."""
+    """Recursively cluster ``indices`` into groups of size <= capacity.
+
+    ``block`` is the objects encoded once by ``metric.encode``; each step
+    picks its members out of it with ``metric.take``."""
     if indices.size <= capacity:
         return [indices]
     n_groups = int(np.ceil(indices.size / capacity))
     n_seeds = int(min(MAX_SEEDS, max(2, n_groups)))
     seed_positions = rng.choice(indices.size, size=n_seeds, replace=False)
-    seeds = [objects[i] for i in indices[seed_positions]]
 
     # Distance from every object to every seed; vectorised per seed.
-    members = [objects[i] for i in indices]
-    dist_to_seeds = np.stack(
-        [np.asarray(metric.one_to_many(seed, members)) for seed in seeds]
-    )  # (n_seeds, n_members)
+    members = metric.take(block, indices)
+    dist_to_seeds = np.stack([
+        np.asarray(metric.one_to_many(block[i], members))
+        for i in indices[seed_positions]
+    ])  # (n_seeds, n_members)
     assignment = np.argmin(dist_to_seeds, axis=0)
 
     # ADC'98 reassignment: dissolve undersized clusters, reassign members
@@ -92,7 +95,7 @@ def _partition_indices(
     result: List[np.ndarray] = []
     for group in groups:
         result.extend(
-            _partition_indices(objects, group, capacity, min_entries, metric, rng)
+            _partition_indices(block, group, capacity, min_entries, metric, rng)
         )
     return result
 
@@ -170,7 +173,7 @@ def bulk_load(
     # ---- leaves ------------------------------------------------------
     all_indices = np.arange(n)
     groups = _partition_indices(
-        objects,
+        metric.encode(objects),
         all_indices,
         layout.leaf_capacity,
         layout.leaf_min_entries,
@@ -204,7 +207,7 @@ def bulk_load(
         routing_objs = [item[0] for item in level]
         indices = np.arange(len(level))
         groups = _partition_indices(
-            routing_objs,
+            metric.encode(routing_objs),
             indices,
             layout.internal_capacity,
             layout.internal_min_entries,

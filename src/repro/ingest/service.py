@@ -83,7 +83,10 @@ __all__ = [
 PathLike = Union[str, Path]
 
 CHECKPOINT_FORMAT = "metricost-ingest-checkpoint-v1"
-TREE_FORMAT = "metricost-ingest-tree-v1"
+TREE_FORMAT = "metricost-ingest-tree-v2"
+#: Snapshot formats :meth:`IngestService.recover` reads: the current one
+#: and v1 (per-object JSON tree documents), which is no longer written.
+_READABLE_TREE_FORMATS = ("metricost-ingest-tree-v1", TREE_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -253,10 +256,11 @@ class IngestService:
             checkpoint_seq = int(ckpt["seq"])
             checkpoint_epoch = int(ckpt["epoch"])
             tree_doc = json.loads(bundle["tree"])
-            if tree_doc.get("format") != TREE_FORMAT:
+            if tree_doc.get("format") not in _READABLE_TREE_FORMATS:
                 raise FormatVersionError(
                     f"cannot read ingest snapshot: expected format "
-                    f"{TREE_FORMAT!r}, found {tree_doc.get('format')!r}"
+                    f"{TREE_FORMAT!r} (or v1), found "
+                    f"{tree_doc.get('format')!r}"
                 )
             tree = mtree_from_dict(
                 tree_doc["tree"], self.metric, decode=self._decode

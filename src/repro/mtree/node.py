@@ -73,9 +73,11 @@ class Node:
       :attr:`objects` (leaf), and :attr:`parent_distances`;
     * :attr:`children` (internal).
 
-    Every mutator drops what it may have made stale (the radius,
-    parent-distance and child mutators drop only their own column), so
-    the caches always describe the current entries.  Only the mutators
+    A snapshot load installs the block and columns it decoded with
+    :meth:`seed_caches` instead.  Every mutator drops what it may have
+    made stale (the radius, parent-distance and child mutators drop only
+    their own column), so the caches always describe the current
+    entries.  Only the mutators
     may write an entry's ``radius``, ``dist_to_parent`` or ``child``: a
     direct write leaves the columns stale, which
     :meth:`~repro.mtree.MTree.validate` reports.
@@ -156,6 +158,30 @@ class Node:
         """Re-point one of this node's routing entries at ``child``."""
         entry.child = child
         self._children = None
+
+    def seed_caches(
+        self,
+        metric: Any = None,
+        block: Optional[Sequence[Any]] = None,
+        *,
+        radii: Optional[np.ndarray] = None,
+        oids: Optional[np.ndarray] = None,
+        parent_distances: Optional[np.ndarray] = None,
+    ) -> None:
+        """Install caches built elsewhere for the current entries: a
+        snapshot load decodes them as arrays, so the first query after it
+        builds nothing.  ``block`` becomes the block for ``metric``; the
+        arrays become the columns and should be read-only.  The caller
+        vouches that each describes the entries, as
+        :meth:`~repro.mtree.MTree.validate` checks."""
+        if block is not None:
+            self._cache = (metric, block)
+        if radii is not None:
+            self._radii = radii
+        if oids is not None:
+            self._oids = oids
+        if parent_distances is not None:
+            self._parents = parent_distances
 
     def block(self, metric: Any) -> Sequence[Any]:
         """The entries' objects encoded by ``metric.encode``, cached."""

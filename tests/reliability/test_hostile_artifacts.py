@@ -4,10 +4,17 @@ For each persisted artifact kind (histogram, N-MCM/L-MCM stats, M-tree,
 vp-tree) the loaders face: an empty file, truncated JSON, a wrong format
 version, and a flipped bit — and must raise the matching
 :class:`MetricostError` subclass every time.
+
+The columnar M-tree document faces damage that a valid checksummed
+envelope carries through: a truncated or mis-sized object block and
+columns whose lengths disagree raise :class:`CorruptedDataError`; an
+unknown document version, or an ingest snapshot with an unknown tree
+format or document version, raises :class:`FormatVersionError`.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -19,8 +26,10 @@ from repro.exceptions import (
     FormatVersionError,
     MetricostError,
 )
-from repro.metrics import L2
-from repro.mtree import NodeLayout, bulk_load
+from repro.ingest import IngestService
+from repro.ingest.service import CHECKPOINT_FORMAT, TREE_FORMAT
+from repro.metrics import L2, EditDistance
+from repro.mtree import NodeLayout, bulk_load, vector_layout
 from repro.persistence import (
     _save_artifact,
     histogram_to_dict,
@@ -171,3 +180,126 @@ class TestAtomicSaves:
         path.write_text(json.dumps(histogram_to_dict(hist)))
         clone = load_histogram(path)
         np.testing.assert_allclose(clone.bin_probs, hist.bin_probs)
+
+
+def _first_leaf(doc):
+    node = doc["root"]
+    while not node["leaf"]:
+        node = node["children"][0]
+    return node
+
+
+def _b64_bytes(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _block_bytes(node):
+    return base64.b64decode(node["block"])
+
+
+# Damage to one node of a version-2 tree document, each inside a valid
+# checksummed envelope, so only the tree decoder can catch it.
+V2_DAMAGE = {
+    "truncated block": lambda node: node.update(
+        block=_b64_bytes(_block_bytes(node)[:-8])
+    ),
+    "block not n*d*8 bytes": lambda node: node.update(
+        block=_b64_bytes(_block_bytes(node) + b"\0\0\0")
+    ),
+    "block cut mid-base64": lambda node: node.update(
+        block=node["block"][:-3]
+    ),
+    "width disagrees with block": lambda node: node.update(d=node["d"] + 1),
+    "one oid short": lambda node: node.update(
+        oids=_b64_bytes(base64.b64decode(node["oids"])[:-8])
+    ),
+    "one parent distance extra": lambda node: node.update(
+        dp=_b64_bytes(base64.b64decode(node["dp"]) + bytes(8))
+    ),
+    "size disagrees with columns": lambda node: node.update(n=node["n"] + 1),
+    "size not a count": lambda node: node.update(n="3"),
+    "column missing": lambda node: node.pop("oids"),
+}
+
+
+class TestHostileTreeV2:
+    @pytest.mark.parametrize("damage", sorted(V2_DAMAGE))
+    def test_damaged_leaf_is_corrupted_data(self, tmp_path, damage):
+        doc = mtree_to_dict(_sample_tree())
+        V2_DAMAGE[damage](_first_leaf(doc))
+        path = tmp_path / "tree.json"
+        _save_artifact(doc, path)
+        with pytest.raises(CorruptedDataError):
+            load_mtree(path, L2())
+
+    def test_internal_node_with_a_child_missing(self, tmp_path):
+        doc = mtree_to_dict(_sample_tree())
+        doc["root"]["children"].pop()
+        path = tmp_path / "tree.json"
+        _save_artifact(doc, path)
+        with pytest.raises(CorruptedDataError):
+            load_mtree(path, L2())
+
+    def test_object_list_shorter_than_the_node(self, tmp_path):
+        words = ["casa", "cosa", "caso", "masa", "mesa", "musa", "rosa"] * 4
+        layout = NodeLayout(node_size_bytes=80, object_bytes=8)
+        doc = mtree_to_dict(bulk_load(words, EditDistance(), layout, seed=1))
+        _first_leaf(doc)["objs"].pop()
+        path = tmp_path / "words.json"
+        _save_artifact(doc, path)
+        with pytest.raises(CorruptedDataError):
+            load_mtree(path, EditDistance())
+
+    @pytest.mark.parametrize("version", [0, 3, True, "2"])
+    def test_unknown_version(self, tmp_path, version):
+        doc = mtree_to_dict(_sample_tree())
+        doc["version"] = version
+        path = tmp_path / "tree.json"
+        _save_artifact(doc, path)
+        with pytest.raises(FormatVersionError):
+            load_mtree(path, L2())
+
+
+class TestHostileIngestSnapshot:
+    """An ingest store whose committed snapshot (manifest digests intact)
+    carries an unknown tree format or tree document version."""
+
+    def _store(self, tmp_path, tree_format, version):
+        service = IngestService(
+            tmp_path, L2(), vector_layout(3, node_size_bytes=256),
+            fsync="never",
+        )
+        service.recover()
+        service.append(np.random.default_rng(4).random((40, 3)))
+        service.apply()
+        view = service.view()
+        tree_doc = mtree_to_dict(view.tree)
+        tree_doc["version"] = version
+        service.store.save({
+            "tree": json.dumps({"format": tree_format, "tree": tree_doc}),
+            "checkpoint": json.dumps({
+                "format": CHECKPOINT_FORMAT, "seq": view.seq,
+                "epoch": view.epoch, "n_objects": len(view.tree),
+            }),
+        })
+        service.close()
+        return IngestService(
+            tmp_path, L2(), vector_layout(3, node_size_bytes=256),
+            fsync="never",
+        )
+
+    def test_current_format_recovers(self, tmp_path):
+        service = self._store(tmp_path, TREE_FORMAT, 2)
+        assert service.recover().checkpoint_seq == 40
+        assert len(service.view()) == 40
+        service.close()
+
+    def test_unknown_tree_format(self, tmp_path):
+        service = self._store(tmp_path, "metricost-ingest-tree-v3", 2)
+        with pytest.raises(FormatVersionError):
+            service.recover()
+
+    def test_unknown_tree_document_version(self, tmp_path):
+        service = self._store(tmp_path, TREE_FORMAT, 3)
+        with pytest.raises(FormatVersionError):
+            service.recover()

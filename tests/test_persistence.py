@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,85 @@ class TestMTreeRoundTrip:
     def test_wrong_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
             mtree_from_dict({"kind": "vptree"}, L2())
+
+    def test_vector_nodes_are_written_as_blocks(self, tree):
+        built, _data = tree
+        doc = mtree_to_dict(built)
+        assert doc["version"] == 2
+        stack = [doc["root"]]
+        while stack:
+            node = stack.pop()
+            assert "objs" not in node
+            assert node["d"] == 3
+            assert len(base64.b64decode(node["block"])) == node["n"] * 3 * 8
+            stack.extend(node.get("children", ()))
+
+    def test_cached_and_stacked_blocks_write_the_same_document(self, tree):
+        built, data = tree
+        for node in built.iter_nodes():
+            node.block(built.metric)
+        cold = bulk_load(data.points, L2(), built.layout, seed=2)
+        assert all(
+            node.cached_block(cold.metric) is None
+            for node in cold.iter_nodes()
+        )
+        assert mtree_to_dict(cold) == mtree_to_dict(built)
+
+    def test_reloaded_objects_are_rows_of_the_read_only_block(self, tree):
+        built, _data = tree
+        clone = mtree_from_dict(mtree_to_dict(built), L2())
+        for node in clone.iter_nodes():
+            block = node.cached_block(clone.metric)
+            assert not block.flags.writeable
+            for row, entry in enumerate(node.entries):
+                assert np.shares_memory(entry.obj, block)
+                assert not entry.obj.flags.writeable
+                assert entry.obj.tobytes() == block[row].tobytes()
+
+    def test_first_query_after_a_reload_builds_nothing(self, tree, monkeypatch):
+        """Blocks and columns arrive with the nodes: a query after the
+        load neither encodes objects nor builds a numeric column."""
+        import repro.mtree.node as node_module
+
+        built, data = tree
+        metric = L2()
+        clone = mtree_from_dict(mtree_to_dict(built), metric)
+
+        def refuse(*_args):
+            raise AssertionError("built a cache after the load")
+
+        monkeypatch.setattr(metric, "encode", refuse)
+        monkeypatch.setattr(node_module, "_column", refuse)
+        query = data.points[7]
+        assert 7 in clone.range_query(query, 0.2).oids()
+        assert clone.knn_query(query, 3).neighbors[0].oid == 7
+
+    @pytest.mark.parametrize("store", ["vectors", "words"])
+    def test_version_1_documents_still_load(self, store):
+        """The snapshot of a store written by the version-1 writer."""
+        snapshot = (
+            Path(__file__).parent / "ingest" / "fixtures" / "v1-store"
+            / store / "snapshots" / "tree.g1.json"
+        )
+        doc = json.loads(snapshot.read_text())["tree"]
+        assert doc["version"] == 1
+        metric = L2() if store == "vectors" else EditDistance()
+        tree = mtree_from_dict(doc, metric)
+        tree.validate()
+        assert sorted(oid for oid, _obj in tree.iter_objects()) == list(
+            range(40)
+        )
+        again = mtree_from_dict(mtree_to_dict(tree), metric)
+        assert mtree_to_dict(again) == mtree_to_dict(tree)
+
+    def test_non_vector_objects_go_through_the_codec(self, words):
+        layout = NodeLayout(node_size_bytes=128, object_bytes=10)
+        tree = bulk_load(words, EditDistance(), layout, seed=4)
+        doc = mtree_to_dict(tree)
+        assert "block" not in doc["root"]
+        assert len(doc["root"]["objs"]) == doc["root"]["n"]
+        clone = mtree_from_dict(doc, EditDistance())
+        assert sorted(clone.iter_objects()) == sorted(tree.iter_objects())
 
 
 class TestVPTreeRoundTrip:

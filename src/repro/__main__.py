@@ -18,7 +18,11 @@ Usage::
     python -m repro metrics --input metrics.json --json
 
 Each experiment subcommand runs the corresponding driver and prints the
-paper-shaped table; ``all`` runs every experiment in sequence.  ``doctor``
+paper-shaped table; ``all`` runs every paper experiment in sequence.
+``serve-bench``, ``shard-bench`` and ``ingest-bench`` run the serving
+measurements of :mod:`repro.experiments.serving` through the same path
+and flags (``--size``, ``--queries``, ``--quick``, ``--metrics``), the
+drivers ``benchmarks/bench_ext_service.py`` asserts on.  ``doctor``
 runs the reliability self-test (fault injection, retry, checksum and
 degradation checks) and, with ``--artifacts``, integrity-checks every
 persisted artifact in a directory; it exits non-zero on any problem.
@@ -57,14 +61,22 @@ from .experiments import (
     render_figure3,
     render_figure4,
     render_figure5,
+    render_ingest_rate,
+    render_overload_comparison,
+    render_shard_scaling,
     render_table1,
+    render_throughput_sweep,
     render_vptree_validation,
     run_figure1,
     run_figure2,
     run_figure3,
     run_figure4,
     run_figure5,
+    run_ingest_rate,
+    run_overload_comparison,
+    run_shard_scaling,
     run_table1,
+    run_throughput_sweep,
     run_vptree_validation,
 )
 
@@ -114,7 +126,35 @@ def _run_vptree(args: argparse.Namespace) -> str:
     return render_vptree_validation(run_vptree_validation(config))
 
 
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
+def _run_serve_bench(args: argparse.Namespace) -> str:
+    """measure the concurrent query service: throughput vs workers,
+    plus shedding under 2x overload"""
+    sweep = run_throughput_sweep(args.size, args.queries)
+    overload = run_overload_comparison(args.size, args.queries)
+    return (
+        render_throughput_sweep(sweep, args.queries)
+        + "\n\n"
+        + render_overload_comparison(overload)
+    )
+
+
+def _run_shard_bench(args: argparse.Namespace) -> str:
+    """measure the sharded scatter-gather router: throughput and
+    pruning vs shard count"""
+    rows = run_shard_scaling(args.size, args.queries)
+    return render_shard_scaling(rows, args.queries)
+
+
+def _run_ingest_bench(args: argparse.Namespace) -> str:
+    """measure the durable ingest path: insert rate per fsync policy,
+    checkpoint, WAL-replay recovery and queries on the recovered view"""
+    rows = run_ingest_rate(args.size, args.queries)
+    return render_ingest_rate(rows, args.size)
+
+
+Runner = Callable[[argparse.Namespace], str]
+
+PAPER_EXPERIMENTS: Dict[str, Runner] = {
     "table1": _run_table1,
     "figure1": _run_figure1,
     "figure2": _run_figure2,
@@ -123,6 +163,13 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "figure5": _run_figure5,
     "vptree": _run_vptree,
 }
+#: The serving measurements: run by name only, never by ``all``.
+SERVING_BENCHES: Dict[str, Runner] = {
+    "serve-bench": _run_serve_bench,
+    "shard-bench": _run_shard_bench,
+    "ingest-bench": _run_ingest_bench,
+}
+EXPERIMENTS: Dict[str, Runner] = {**PAPER_EXPERIMENTS, **SERVING_BENCHES}
 
 QUICK_OVERRIDES = {"size": 1500, "queries": 30, "text_scale": 0.02}
 
@@ -360,141 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit a machine-readable report instead of the table",
     )
-    serve = subparsers.add_parser(
-        "serve-bench",
-        help="measure the concurrent query service: throughput vs "
-        "workers, plus shedding under overload",
-    )
-    serve.add_argument(
-        "--size",
-        type=int,
-        default=4000,
-        help="number of indexed vector objects (default 4000)",
-    )
-    serve.add_argument(
-        "--queries",
-        type=int,
-        default=400,
-        help="queries per measurement (default 400)",
-    )
-    serve.add_argument(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated worker counts to sweep (default 1,2,4,8)",
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=1000.0,
-        help="per-query deadline in milliseconds (default 1000)",
-    )
-    serve.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink all sizes for a fast smoke run",
-    )
-    serve.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect observability counters and print them after the run",
-    )
-    ingest = subparsers.add_parser(
-        "ingest-bench",
-        help="measure the durable ingest path: sustained insert rate per "
-        "fsync policy, checkpoint and WAL-replay recovery timing",
-    )
-    ingest.add_argument(
-        "--objects",
-        type=int,
-        default=4000,
-        help="objects streamed through the service (default 4000)",
-    )
-    ingest.add_argument(
-        "--batch",
-        type=int,
-        default=64,
-        help="objects per append batch (default 64)",
-    )
-    ingest.add_argument(
-        "--fsync",
-        default="always,batch,never",
-        help="comma-separated fsync policies to sweep "
-        "(default always,batch,never)",
-    )
-    ingest.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink all sizes for a fast smoke run",
-    )
-    ingest.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect observability counters and print them after the run",
-    )
-    shard = subparsers.add_parser(
-        "shard-bench",
-        help="measure the sharded scatter-gather router: throughput and "
-        "pruning vs shard count, optionally under injected shard faults",
-    )
-    shard.add_argument(
-        "--size",
-        type=int,
-        default=4000,
-        help="number of indexed vector objects (default 4000)",
-    )
-    shard.add_argument(
-        "--queries",
-        type=int,
-        default=300,
-        help="mixed range/k-NN queries per measurement (default 300)",
-    )
-    shard.add_argument(
-        "--shards",
-        default="1,2,4,8",
-        help="comma-separated shard counts to sweep (default 1,2,4,8)",
-    )
-    shard.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="concurrent router workers (default 8)",
-    )
-    shard.add_argument(
-        "--kill",
-        type=int,
-        default=None,
-        metavar="SHARD",
-        help="kill this shard id before the workload (dead-shard drill)",
-    )
-    shard.add_argument(
-        "--slow",
-        type=int,
-        default=None,
-        metavar="SHARD",
-        help="slow this shard id before the workload (hedging drill)",
-    )
-    shard.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=1000.0,
-        help="per-query deadline in milliseconds (default 1000)",
-    )
-    shard.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink all sizes for a fast smoke run",
-    )
-    shard.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect observability counters and print them after the run",
-    )
     for name in [*EXPERIMENTS, "all"]:
+        serving = name in SERVING_BENCHES
         sub = subparsers.add_parser(
             name,
             help=(
-                "run every experiment"
+                "run every paper experiment"
                 if name == "all"
+                else EXPERIMENTS[name].__doc__
+                if serving
                 else f"reproduce {name}"
             ),
         )
@@ -510,12 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
             default=100,
             help="queries per measurement (default 100; the paper used 1000)",
         )
-        sub.add_argument(
-            "--text-scale",
-            type=float,
-            default=0.1,
-            help="fraction of the paper's vocabulary sizes (default 0.1)",
-        )
+        if not serving:
+            sub.add_argument(
+                "--text-scale",
+                type=float,
+                default=0.1,
+                help="fraction of the paper's vocabulary sizes "
+                "(default 0.1)",
+            )
         sub.add_argument(
             "--quick",
             action="store_true",
@@ -752,268 +675,6 @@ def _run_gc(args: argparse.Namespace) -> int:
     return 0 if not left else 1
 
 
-def _run_serve_bench(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .datasets import clustered_dataset
-    from .mtree import bulk_load, vector_layout
-    from .service import (
-        AdmissionController,
-        MTreeBackend,
-        QueryRequest,
-        QueryService,
-    )
-
-    size = 800 if args.quick else args.size
-    n_queries = 100 if args.quick else args.queries
-    workers = [int(w) for w in str(args.workers).split(",") if w]
-    if args.metrics:
-        from . import observability
-
-        observability.install()
-    data = clustered_dataset(size=size, dim=8, seed=7)
-    tree = bulk_load(data.points, data.metric, vector_layout(8), seed=7)
-    rng = np.random.default_rng(7)
-    requests = [
-        QueryRequest(
-            "range",
-            rng.random(8),
-            radius=0.15 * data.d_plus,
-            request_id=i,
-        )
-        for i in range(n_queries)
-    ]
-    print(
-        f"serve-bench: {size} objects, {n_queries} range queries, "
-        f"deadline {args.deadline_ms:g} ms"
-    )
-    print("\n-- throughput vs workers (no shedding pressure)")
-    for n in workers:
-        service = QueryService(
-            MTreeBackend(tree),
-            admission=AdmissionController(
-                max_concurrent=max(n, 1), max_queue=n_queries
-            ),
-        )
-        report = service.run(
-            requests, workers=n, deadline_ms=args.deadline_ms
-        )
-        print(f"workers={n:>2}  {report.render().splitlines()[-1]}")
-    print("\n-- 2x overload: without vs with shedding")
-    doubled = requests + [
-        QueryRequest(
-            "range",
-            rng.random(8),
-            radius=0.15 * data.d_plus,
-            request_id=n_queries + i,
-        )
-        for i in range(n_queries)
-    ]
-    slots = 2  # deliberately scarce so the overload is real
-    for label, max_queue in (
-        ("unbounded queue", len(doubled)),
-        ("bounded queue (sheds)", 1),
-    ):
-        service = QueryService(
-            MTreeBackend(tree),
-            admission=AdmissionController(
-                max_concurrent=slots, max_queue=max_queue
-            ),
-        )
-        report = service.run(
-            doubled, workers=8 * slots, deadline_ms=args.deadline_ms
-        )
-        print(f"{label}:")
-        for line in report.render().splitlines():
-            print(f"  {line}")
-    if args.metrics:
-        from . import observability
-
-        print("\n== metrics " + "=" * 59)
-        print(observability.snapshot().render())
-    return 0
-
-
-def _run_ingest_bench(args: argparse.Namespace) -> int:
-    import tempfile
-    from pathlib import Path
-
-    import numpy as np
-
-    from .ingest import IngestService
-    from .metrics import L2
-    from .mtree import vector_layout
-
-    n_objects = 600 if args.quick else args.objects
-    batch = max(1, min(args.batch, n_objects))
-    policies = [p.strip() for p in str(args.fsync).split(",") if p.strip()]
-    if args.metrics:
-        from . import observability
-
-        observability.install()
-    rng = np.random.default_rng(19)
-    points = rng.random((n_objects, 8))
-    metric = L2()
-    layout = vector_layout(8)
-    print(
-        f"ingest-bench: {n_objects} objects, batches of {batch}, "
-        f"fsync sweep {','.join(policies)}"
-    )
-    print("\n-- sustained append+apply rate vs fsync policy")
-    for policy in policies:
-        with tempfile.TemporaryDirectory() as tmp:
-            service = IngestService(
-                Path(tmp), metric, layout, fsync=policy
-            )
-            service.recover()
-            started = time.perf_counter()
-            for lo in range(0, n_objects, batch):
-                service.append(points[lo : lo + batch])
-                service.apply()
-            elapsed = time.perf_counter() - started
-            view = service.view()
-            print(
-                f"fsync={policy:<7} {n_objects / elapsed:>9.0f} obj/s  "
-                f"({elapsed * 1e3:7.1f} ms, epoch {view.epoch}, "
-                f"seq {view.seq})"
-            )
-            service.close()
-    print("\n-- checkpoint + recovery (fsync=always)")
-    with tempfile.TemporaryDirectory() as tmp:
-        service = IngestService(Path(tmp), metric, layout, fsync="always")
-        service.recover()
-        half = n_objects // 2
-        service.append(points[:half])
-        service.apply()
-        started = time.perf_counter()
-        outcome = service.checkpoint()
-        ckpt_ms = (time.perf_counter() - started) * 1e3
-        print(
-            f"checkpoint: {half} objects -> generation "
-            f"{outcome.generation} in {ckpt_ms:.1f} ms "
-            f"({outcome.segments_pruned} WAL segments pruned)"
-        )
-        for lo in range(half, n_objects, batch):
-            service.append(points[lo : lo + batch])
-            service.apply()
-        service.close()
-        cold = IngestService(Path(tmp), metric, layout, fsync="always")
-        started = time.perf_counter()
-        recovery = cold.recover()
-        rec_ms = (time.perf_counter() - started) * 1e3
-        view = cold.view()
-        print(
-            f"recover: snapshot({half}) + WAL replay({recovery.replayed}) "
-            f"-> {len(view)} objects in {rec_ms:.1f} ms "
-            f"(epoch {view.epoch}, store {recovery.store_action})"
-        )
-        n_queries = 50
-        started = time.perf_counter()
-        hits = sum(
-            len(view.tree.range_query(points[i], 0.25))
-            for i in range(n_queries)
-        )
-        query_ms = (time.perf_counter() - started) * 1e3 / n_queries
-        print(
-            f"queries on recovered view: {n_queries} range queries, "
-            f"{hits} hits, {query_ms:.2f} ms/query"
-        )
-        cold.close()
-    if args.metrics:
-        from . import observability
-
-        print("\n== metrics " + "=" * 59)
-        print(observability.snapshot().render())
-    return 0
-
-
-def _run_shard_bench(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .cluster import build_cluster
-    from .datasets import clustered_dataset
-    from .reliability import ShardFaultInjector
-    from .service import QueryRequest
-
-    size = 800 if args.quick else args.size
-    n_queries = 60 if args.quick else args.queries
-    shard_counts = [int(n) for n in str(args.shards).split(",") if n]
-    if args.metrics:
-        from . import observability
-
-        observability.install()
-    data = clustered_dataset(size=size, dim=8, seed=11)
-    rng = np.random.default_rng(11)
-    requests = []
-    for i in range(n_queries):
-        if i % 2 == 0:
-            requests.append(
-                QueryRequest(
-                    "range",
-                    rng.random(8),
-                    radius=float(rng.uniform(0.05, 0.2)) * data.d_plus,
-                    request_id=i,
-                )
-            )
-        else:
-            requests.append(
-                QueryRequest(
-                    "knn",
-                    rng.random(8),
-                    k=int(rng.integers(1, 20)),
-                    request_id=i,
-                )
-            )
-    faults = ", ".join(
-        f"{kind} shard {target}"
-        for kind, target in (("kill", args.kill), ("slow", args.slow))
-        if target is not None
-    )
-    print(
-        f"shard-bench: {size} objects, {n_queries} mixed queries, "
-        f"{args.workers} workers, deadline {args.deadline_ms:g} ms"
-        + (f", faults: {faults}" if faults else "")
-    )
-    for n_shards in shard_counts:
-        router = build_cluster(
-            data.points,
-            data.metric,
-            n_shards=n_shards,
-            d_plus=data.d_plus,
-            seed=11,
-            min_completeness=0.5,
-            hedge_delay_s=0.02,
-        )
-        injector = ShardFaultInjector(seed=11)
-        for kind, target in (("kill", args.kill), ("slow", args.slow)):
-            if target is not None and 0 <= target < n_shards:
-                if kind == "kill":
-                    injector.kill(router.shards[target])
-                else:
-                    injector.slow(router.shards[target], delay_s=0.1)
-        report = router.run(
-            requests, workers=args.workers, deadline_ms=args.deadline_ms
-        )
-        pruned = sum(o.shards_pruned for o in report.outcomes)
-        scattered = sum(
-            o.shards_total - o.shards_pruned for o in report.outcomes
-        )
-        print(f"\n-- shards={n_shards}")
-        for line in report.render().splitlines():
-            print(f"  {line}")
-        print(
-            f"  pruning: {pruned} shard-queries pruned, "
-            f"{scattered} scattered "
-            f"({pruned / max(1, pruned + scattered):.0%} saved)"
-        )
-    if args.metrics:
-        from . import observability
-
-        print("\n== metrics " + "=" * 59)
-        print(observability.snapshot().render())
-    return 0
-
-
 def _run_metrics(args: argparse.Namespace) -> int:
     from . import observability
     from .observability import MetricsSnapshot
@@ -1168,12 +829,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_gc(args)
     if args.experiment == "metrics":
         return _run_metrics(args)
-    if args.experiment == "serve-bench":
-        return _run_serve_bench(args)
-    if args.experiment == "shard-bench":
-        return _run_shard_bench(args)
-    if args.experiment == "ingest-bench":
-        return _run_ingest_bench(args)
     if args.quick:
         for key, value in QUICK_OVERRIDES.items():
             setattr(args, key, value)
@@ -1183,7 +838,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         observability.install()
     names: List[str] = (
-        list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+        list(PAPER_EXPERIMENTS)
+        if args.experiment == "all"
+        else [args.experiment]
     )
     for name in names:
         started = time.perf_counter()

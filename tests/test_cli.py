@@ -7,16 +7,37 @@ import json
 import pytest
 
 from repro import observability
-from repro.__main__ import EXPERIMENTS, build_parser, main
+from repro.__main__ import (
+    EXPERIMENTS,
+    PAPER_EXPERIMENTS,
+    SERVING_BENCHES,
+    build_parser,
+    main,
+)
 from repro.observability import MetricsSnapshot
 
 
 class TestParser:
     def test_all_experiments_have_subcommands(self):
         parser = build_parser()
+        assert {*PAPER_EXPERIMENTS, *SERVING_BENCHES} == set(EXPERIMENTS)
+        assert not set(PAPER_EXPERIMENTS) & set(SERVING_BENCHES)
         for name in [*EXPERIMENTS, "all"]:
             args = parser.parse_args([name])
             assert args.experiment == name
+            assert (args.size, args.queries) == (8000, 100)
+            assert not args.quick and not args.metrics
+
+    @pytest.mark.parametrize("name", sorted(SERVING_BENCHES))
+    def test_serving_benches_take_only_the_experiment_flags(self, name):
+        parser = build_parser()
+        args = parser.parse_args(
+            [name, "--size", "900", "--queries", "12", "--metrics-out", "m"]
+        )
+        assert (args.size, args.queries, args.metrics_out) == (900, 12, "m")
+        for flag in ("--text-scale", "--workers", "--deadline-ms"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, flag, "1"])
 
     def test_defaults(self):
         args = build_parser().parse_args(["figure1"])
@@ -139,6 +160,50 @@ class TestMetricsCli:
         assert observability.installed()
         assert main(["metrics"]) == 0
         assert "mtree.nodes_accessed" in capsys.readouterr().out
+
+
+class TestServingBenchCli:
+    """serve-bench, shard-bench and ingest-bench print their drivers'
+    tables through the experiment path."""
+
+    @pytest.fixture(autouse=True)
+    def clean_observability(self):
+        observability.uninstall()
+        yield
+        observability.uninstall()
+
+    @pytest.mark.parametrize(
+        "name, titles",
+        [
+            (
+                "serve-bench",
+                [
+                    "service throughput vs worker threads (30 range queries",
+                    "2x overload, accepted/rejected tails",
+                ],
+            ),
+            ("shard-bench", ["sharded scatter-gather scaling (30 mixed"]),
+            ("ingest-bench", ["sustained ingest rate vs fsync policy (1500"]),
+        ],
+    )
+    def test_quick_run_prints_its_tables(self, capsys, name, titles):
+        assert main([name, "--quick"]) == 0
+        out = capsys.readouterr().out
+        for title in titles:
+            assert title in out
+        assert f"-- {name} done in" in out
+        assert "== metrics" not in out
+
+    def test_serve_bench_with_metrics_prints_counters(self, capsys):
+        assert main(["serve-bench", "--quick", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "2x overload" in out
+        assert "== metrics" in out
+        assert "service.requests" in out
+        assert "service.admitted" in out
+        # The overload driver records into the CLI's registry and leaves
+        # it installed.
+        assert observability.installed()
 
 
 class TestSelfHealingCli:

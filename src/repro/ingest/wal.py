@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import CorruptedDataError, InvalidParameterError
 from ..observability import state as _obs
-from ..persistence import _atomic_write_text
+from ..persistence import _atomic_write_text, _fsync_dir
 
 __all__ = [
     "WAL_MAGIC",
@@ -93,20 +93,6 @@ def _segment_index(name: str) -> Optional[int]:
         return None
     stem = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
     return int(stem) if stem.isdigit() else None
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush directory metadata (new/renamed segment files)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - not supported on this fs
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass(frozen=True)

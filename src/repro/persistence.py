@@ -90,11 +90,29 @@ FORMAT_VERSION = 1
 MTREE_FORMAT_VERSION = 2
 
 
+def _fsync_dir(directory: Path) -> None:
+    """Flush directory metadata: a rename, create or unlink in
+    ``directory`` survives a power loss only once this returns."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - not supported on this fs
+        pass
+    finally:
+        os.close(fd)
+
+
 def _atomic_write_text(path: PathLike, text: str) -> None:
     """Write ``text`` to ``path`` via a same-directory temp + ``os.replace``.
 
     ``os.replace`` is atomic on POSIX and Windows, so readers see either
-    the old artifact or the complete new one — never a torn file.
+    the old artifact or the complete new one — never a torn file.  The
+    directory is fsynced after the replace, so the new artifact is
+    durable before this returns: a later unlink elsewhere (the WAL prune
+    after a checkpoint) cannot reach the disk ahead of it.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -112,6 +130,7 @@ def _atomic_write_text(path: PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+    _fsync_dir(path.parent)
 
 
 def _save_artifact(payload: Dict[str, Any], path: PathLike) -> None:

@@ -340,6 +340,69 @@ class TestRecovery:
             assert fsck_ingest(directory).ok
             survivor.close()
 
+    def test_manifest_is_durable_before_the_wal_prune(
+        self, tmp_path, monkeypatch
+    ):
+        """A power loss must not keep the WAL prune and lose the new
+        manifest: the snapshots directory is fsynced after the manifest
+        replace and before the first segment unlink.
+
+        Records, in order, each replace target, each directory fsync and
+        each unlink while a checkpoint runs.
+        """
+        import os
+        import stat
+        from pathlib import Path
+
+        points = _points(40)
+        service = _service(tmp_path, segment_max_bytes=256)
+        for lo in range(0, len(points), 8):
+            service.append(points[lo : lo + 8])
+        service.apply()
+
+        events, dir_names = [], {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+        real_unlink = Path.unlink
+
+        def record_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            dir_names[fd] = Path(path).name
+            return fd
+
+        def record_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append(("fsync_dir", dir_names.get(fd)))
+            return real_fsync(fd)
+
+        def record_replace(src, dst, *args, **kwargs):
+            events.append(("replace", Path(dst).name))
+            return real_replace(src, dst, *args, **kwargs)
+
+        def record_unlink(path, *args, **kwargs):
+            events.append(("unlink", path.name))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        monkeypatch.setattr(Path, "unlink", record_unlink)
+        outcome = service.checkpoint()
+        monkeypatch.undo()
+
+        commit = events.index(("replace", "MANIFEST.json"))
+        prunes = [
+            i
+            for i, (kind, name) in enumerate(events)
+            if kind == "unlink" and name.startswith("wal-")
+        ]
+        assert len(prunes) == outcome.segments_pruned > 0
+        assert commit < prunes[0]
+        assert ("fsync_dir", "snapshots") in events[commit + 1 : prunes[0]]
+        service.close()
+        survivor = _service(tmp_path)
+        _assert_exactly(survivor.view(), points, len(points))
+        survivor.close()
+
     def test_checkpoint_racing_close_fails_typed(self, tmp_path):
         """Regression for the checkpoint/close lockset race.
 

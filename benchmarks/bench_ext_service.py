@@ -29,12 +29,9 @@ import time
 from pathlib import Path
 
 from repro import observability
+from repro.experiments import format_table
 from repro.experiments.serving import (
     INGEST_BATCH,
-    render_ingest_rate,
-    render_overload_comparison,
-    render_shard_scaling,
-    render_throughput_sweep,
     run_ingest_rate,
     run_overload_comparison,
     run_shard_scaling,
@@ -92,7 +89,15 @@ def test_ext_service_throughput(benchmark, scale, show):
         rounds=1,
         iterations=1,
     )
-    show(render_throughput_sweep(rows, n_queries))
+    show(
+        format_table(
+            rows,
+            title=(
+                "Extension - service throughput vs worker threads "
+                f"({n_queries} range queries, shared M-tree)"
+            ),
+        )
+    )
     for row in rows:
         assert row["ok"] == n_queries
     # More workers must not collapse throughput (single-core runners and
@@ -116,7 +121,15 @@ def test_ext_service_overload_shedding(benchmark, scale, show):
         rejected_metric = registry.snapshot().total("service.rejected")
     finally:
         observability.uninstall()
-    show(render_overload_comparison(result))
+    show(
+        format_table(
+            result["rows"],
+            title=(
+                "Extension - 2x overload, accepted/rejected tails "
+                f"(unloaded p99 = {result['unloaded_p99_ms']} ms)"
+            ),
+        )
+    )
     unbounded, shed = result["rows"]
     assert unbounded["policy"] == "queue unbounded"
     # Shedding actually happened, and the registry saw every rejection.
@@ -139,7 +152,15 @@ def test_ext_cluster_scaling(benchmark, scale, show):
         rounds=1,
         iterations=1,
     )
-    show(render_shard_scaling(rows, n_queries))
+    show(
+        format_table(
+            rows,
+            title=(
+                "Extension - sharded scatter-gather scaling "
+                f"({n_queries} mixed range/k-NN queries, healthy cluster)"
+            ),
+        )
+    )
     for row in rows:
         # A healthy cluster never degrades an answer.
         assert row["ok"] == n_queries
@@ -160,7 +181,15 @@ def test_ext_ingest_rate(benchmark, scale, show):
         rounds=1,
         iterations=1,
     )
-    show(render_ingest_rate(rows, size))
+    show(
+        format_table(
+            rows,
+            title=(
+                "Extension - sustained ingest rate vs fsync policy "
+                f"({size} objects, batches of {INGEST_BATCH})"
+            ),
+        )
+    )
     for row in rows:
         assert row["insert obj/s"] > 0
         # Recovery replayed exactly the acked-but-uncheckpointed suffix.

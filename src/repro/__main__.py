@@ -56,28 +56,28 @@ from .experiments import (
     Figure5Config,
     Table1Config,
     VPValidationConfig,
+    format_table,
     render_figure1,
     render_figure2,
     render_figure3,
     render_figure4,
     render_figure5,
-    render_ingest_rate,
-    render_overload_comparison,
-    render_shard_scaling,
     render_table1,
-    render_throughput_sweep,
     render_vptree_validation,
     run_figure1,
     run_figure2,
     run_figure3,
     run_figure4,
     run_figure5,
+    run_table1,
+    run_vptree_validation,
+)
+from .experiments.serving import (
+    INGEST_BATCH,
     run_ingest_rate,
     run_overload_comparison,
     run_shard_scaling,
-    run_table1,
     run_throughput_sweep,
-    run_vptree_validation,
 )
 
 __all__ = ["main"]
@@ -131,25 +131,38 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     plus shedding under 2x overload"""
     sweep = run_throughput_sweep(args.size, args.queries)
     overload = run_overload_comparison(args.size, args.queries)
-    return (
-        render_throughput_sweep(sweep, args.queries)
-        + "\n\n"
-        + render_overload_comparison(overload)
-    )
+    return "\n\n".join([
+        format_table(
+            sweep,
+            title=f"Throughput vs worker threads ({args.queries} range "
+            "queries, shared M-tree)",
+        ),
+        format_table(
+            overload["rows"],
+            title="2x overload, accepted/rejected tails (unloaded p99 = "
+            f"{overload['unloaded_p99_ms']} ms)",
+        ),
+    ])
 
 
 def _run_shard_bench(args: argparse.Namespace) -> str:
     """measure the sharded scatter-gather router: throughput and
     pruning vs shard count"""
-    rows = run_shard_scaling(args.size, args.queries)
-    return render_shard_scaling(rows, args.queries)
+    return format_table(
+        run_shard_scaling(args.size, args.queries),
+        title=f"Sharded scatter-gather scaling ({args.queries} mixed "
+        "range/k-NN queries)",
+    )
 
 
 def _run_ingest_bench(args: argparse.Namespace) -> str:
     """measure the durable ingest path: insert rate per fsync policy,
     checkpoint, WAL-replay recovery and queries on the recovered view"""
-    rows = run_ingest_rate(args.size, args.queries)
-    return render_ingest_rate(rows, args.size)
+    return format_table(
+        run_ingest_rate(args.size, args.queries),
+        title=f"Ingest rate vs fsync policy ({args.size} objects, "
+        f"batches of {INGEST_BATCH})",
+    )
 
 
 Runner = Callable[[argparse.Namespace], str]

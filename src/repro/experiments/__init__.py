@@ -1,7 +1,5 @@
 """Experiment drivers: one module per paper table/figure (DESIGN.md §2),
-and :mod:`.serving`, the serving-layer measurements behind
-``python -m repro serve-bench|shard-bench|ingest-bench`` and
-``benchmarks/bench_ext_service.py``."""
+and :mod:`.serving`, the drivers of the serving measurements."""
 
 from .common import (
     PAPER_MIN_UTILIZATION,
@@ -19,17 +17,6 @@ from .figure3 import Figure3Config, Figure3Row, render_figure3, run_figure3
 from .figure4 import Figure4Config, Figure4Row, render_figure4, run_figure4
 from .figure5 import Figure5Config, render_figure5, run_figure5
 from .report import format_percent, format_table, relative_error
-from .serving import (
-    INGEST_BATCH,
-    render_ingest_rate,
-    render_overload_comparison,
-    render_shard_scaling,
-    render_throughput_sweep,
-    run_ingest_rate,
-    run_overload_comparison,
-    run_shard_scaling,
-    run_throughput_sweep,
-)
 from .table1 import Table1Config, Table1Row, render_table1, run_table1
 from .vptree_validation import (
     VPValidationConfig,
@@ -77,13 +64,4 @@ __all__ = [
     "VPValidationRow",
     "run_vptree_validation",
     "render_vptree_validation",
-    "INGEST_BATCH",
-    "run_throughput_sweep",
-    "render_throughput_sweep",
-    "run_overload_comparison",
-    "render_overload_comparison",
-    "run_shard_scaling",
-    "render_shard_scaling",
-    "run_ingest_rate",
-    "render_ingest_rate",
 ]

@@ -1,24 +1,11 @@
-"""Serving measurements: throughput, overload shedding, sharding, ingest.
+"""Serving measurements: the drivers behind ``python -m repro
+serve-bench|shard-bench|ingest-bench`` and
+``benchmarks/bench_ext_service.py``.
 
-The paper costs a single query in isolation; a served index answers many
-at once.  These drivers measure the serving layers around the index and
-back both ``python -m repro serve-bench|shard-bench|ingest-bench`` and
-``benchmarks/bench_ext_service.py``:
-
-1. **Throughput vs workers** — batch QPS of one
-   :class:`repro.service.QueryService` over a shared M-tree as the
-   worker-thread count grows, best of three interleaved rounds per
-   count.
-2. **Tail latency under 2x overload, with and without shedding** — 16
-   workers hammer a 2-slot service.  Unbounded queueing lets every
-   request pile up behind the slots (accepted p99 balloons); a bounded
-   queue sheds the excess in microseconds.
-3. **Sharded scatter-gather scaling** — the same kind of workload routed
-   by :class:`repro.cluster.Router` across N shards.
-4. **Sustained insert rate** — objects streamed through
-   :class:`repro.ingest.IngestService` (WAL append + clone-then-publish
-   apply) per fsync policy, plus checkpoint and WAL-replay recovery
-   timing and range queries on the recovered view.
+The paper costs one query in isolation; a served index answers many at
+once.  Each driver returns table rows: throughput and latency vs worker
+threads, tails under 2x overload with and without shedding, a sharded
+router vs shard count, and the ingest path per fsync policy.
 """
 
 from __future__ import annotations
@@ -39,18 +26,13 @@ from ..service import (
 )
 from ..workloads import sample_workload
 from .common import paper_range_radius
-from .report import format_table
 
 __all__ = [
     "INGEST_BATCH",
     "run_throughput_sweep",
-    "render_throughput_sweep",
     "run_overload_comparison",
-    "render_overload_comparison",
     "run_shard_scaling",
-    "render_shard_scaling",
     "run_ingest_rate",
-    "render_ingest_rate",
 ]
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -109,17 +91,6 @@ def run_throughput_sweep(size: int, n_queries: int):
     return [best[workers] for workers in WORKER_COUNTS]
 
 
-def render_throughput_sweep(rows, n_queries: int) -> str:
-    """The throughput sweep as a titled table."""
-    return format_table(
-        rows,
-        title=(
-            "Extension - service throughput vs worker threads "
-            f"({n_queries} range queries, shared M-tree)"
-        ),
-    )
-
-
 def run_overload_comparison(size: int, n_queries: int):
     """An unloaded baseline p99, then one row per queueing policy under
     2x overload.  The rejections land in whatever metrics registry the
@@ -174,17 +145,6 @@ def run_overload_comparison(size: int, n_queries: int):
     }
 
 
-def render_overload_comparison(result) -> str:
-    """The overload rows as a table titled with the unloaded p99."""
-    return format_table(
-        result["rows"],
-        title=(
-            "Extension - 2x overload, accepted/rejected tails "
-            f"(unloaded p99 = {result['unloaded_p99_ms']} ms)"
-        ),
-    )
-
-
 def run_shard_scaling(size: int, n_queries: int):
     """One row per shard count: a healthy cluster answering alternating
     range and k-NN queries, with the share of shard visits pruned."""
@@ -231,17 +191,6 @@ def run_shard_scaling(size: int, n_queries: int):
             }
         )
     return rows
-
-
-def render_shard_scaling(rows, n_queries: int) -> str:
-    """The shard scaling rows as a titled table."""
-    return format_table(
-        rows,
-        title=(
-            "Extension - sharded scatter-gather scaling "
-            f"({n_queries} mixed range/k-NN queries, healthy cluster)"
-        ),
-    )
 
 
 def run_ingest_rate(size: int, n_queries: int):
@@ -293,13 +242,3 @@ def run_ingest_rate(size: int, n_queries: int):
             cold.close()
     return rows
 
-
-def render_ingest_rate(rows, size: int) -> str:
-    """The ingest rows as a titled table."""
-    return format_table(
-        rows,
-        title=(
-            "Extension - sustained ingest rate vs fsync policy "
-            f"({size} objects, batches of {INGEST_BATCH})"
-        ),
-    )

@@ -8,8 +8,9 @@ acknowledged inserts to clones of the live M-tree and publishes each
 result as an immutable, epoch-pinned :class:`TreeView` — so queries are
 snapshot-isolated while the index grows, and `recover()` replays the
 log idempotently after any crash.  See ``docs/robustness.md`` for the
-ingest fault matrix and ``python -m repro ingest-bench`` for measured
-sustained insert rates.
+ingest fault matrix and ``python -m repro ingest-bench``
+(:func:`repro.experiments.run_ingest_rate`) for the measured insert
+rate per fsync policy, checkpoint and recovery times.
 """
 
 from .service import (

@@ -200,6 +200,16 @@ class KNNResult:
         return len(self.neighbors)
 
 
+#: Relative slack of the parent-distance test.  The three distances it
+#: relates are each rounded (a sum over D coordinates by up to about D
+#: ulps), so ``|d(Q, O_p) - d(O_i, O_p)|`` can exceed ``d(Q, O_i)`` by a
+#: few ulps of ``d(Q, O_p) + d(O_i, O_p)``, and an object at exactly the
+#: query radius would be pruned.  The slack scales with those two
+#: distances, not with the radius; it covers sums of thousands of
+#: coordinates and is far below one unit of an integer metric.
+PARENT_PRUNE_SLACK = 1e-12
+
+
 def _chain(parts: Iterable[Sequence[Any]]) -> List[Any]:
     """The parts' items in one list."""
     return list(itertools.chain.from_iterable(parts))
@@ -899,7 +909,8 @@ class MTree:
         test: a corrupt radius or parent distance must never be trusted
         to decide whether damage is worth reporting.  With parent
         pruning, ``|d(Q, O_p) - d(O_i, O_p)| > r_Q (+ r(N_i))`` proves an
-        entry cannot qualify without computing ``d(Q, O_i)``.
+        entry cannot qualify without computing ``d(Q, O_i)``, once the
+        excess is beyond the distances' rounding (``PARENT_PRUNE_SLACK``).
         """
         keep: Optional[np.ndarray] = None
         skips: List[int] = []
@@ -923,10 +934,14 @@ class MTree:
             owner = np.repeat(np.arange(len(group)), _sizes(group))
             parents = _concat(node.parent_distances for node in group)
             reach = 0.0 if leaf else _concat(node.radii for node in group)
-            near = combine.reduce([
-                np.abs(row[owner] - parents) <= r + reach
-                for row, r in zip(routing, radii)
-            ])
+            tests = []
+            for row, r in zip(routing, radii):
+                to_parent = row[owner]
+                slack = PARENT_PRUNE_SLACK * (to_parent + parents)
+                tests.append(
+                    np.abs(to_parent - parents) <= r + reach + slack
+                )
+            near = combine.reduce(tests)
             keep = near if keep is None else keep & near
         return keep, skips
 

@@ -22,7 +22,9 @@ testable (see ``docs/robustness.md``):
   writers publish by compare-and-swap under an increasing epoch.
 
 :class:`QueryService` composes them into one front door;
-``python -m repro serve-bench`` measures it under overload.
+``python -m repro serve-bench`` measures its throughput vs workers and
+its tails under 2x overload, with and without shedding
+(:mod:`repro.experiments.serving`).
 """
 
 from __future__ import annotations

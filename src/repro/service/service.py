@@ -12,7 +12,8 @@ degraded execution, hard failure — is a :class:`QueryOutcome` with a
 :meth:`QueryService.run` drives a batch through ``workers`` threads
 (:func:`run_batch`, shared with the cluster router) and summarises into
 a :class:`ServiceReport` (throughput, p50/p99 of the accepted, shed
-counts), which is what ``python -m repro serve-bench`` prints.
+counts); ``python -m repro serve-bench`` prints those as table rows
+(:mod:`repro.experiments.serving`).
 """
 
 from __future__ import annotations

@@ -178,12 +178,12 @@ class TestServingBenchCli:
             (
                 "serve-bench",
                 [
-                    "service throughput vs worker threads (30 range queries",
+                    "Throughput vs worker threads (30 range queries",
                     "2x overload, accepted/rejected tails",
                 ],
             ),
-            ("shard-bench", ["sharded scatter-gather scaling (30 mixed"]),
-            ("ingest-bench", ["sustained ingest rate vs fsync policy (1500"]),
+            ("shard-bench", ["Sharded scatter-gather scaling (30 mixed"]),
+            ("ingest-bench", ["Ingest rate vs fsync policy (1500 objects"]),
         ],
     )
     def test_quick_run_prints_its_tables(self, capsys, name, titles):

@@ -8,7 +8,10 @@ answer of :class:`~repro.workloads.LinearScanBaseline` over the same
 objects is the truth.  Radii cover the edges that matter for a ``<=``
 test: zero, exactly an existing distance, and above every distance.
 
-Range answers also run with ``use_parent_pruning=True``, and every
+Range answers also run with ``use_parent_pruning=True`` (these pruning
+properties also draw full-float64 L1 vectors, where distances are off
+in the last bit, and a deterministic case pins two seeds that once lost
+a hit at exactly the radius), and every
 range answer's item order and ``access_log`` must equal those of
 :func:`reference_range`, a node-at-a-time depth-first walk written
 apart from the tree's level step.  ``knn_query`` (with and without
@@ -75,6 +78,7 @@ from repro.cluster import Router, Shard, ShardStats, build_cluster
 from repro.ingest import IngestService
 from repro.metrics import EditDistance, L1, L2, LInf, kernels
 from repro.mtree import MTree, NodeLayout, bulk_load
+from repro.mtree.tree import PARENT_PRUNE_SLACK
 from repro.persistence import load_mtree, save_mtree
 from repro.reliability import QuarantineSet, ShardFaultInjector
 from repro.service import QueryRequest
@@ -95,6 +99,16 @@ SPACES = {
     "L2": (L2(), VECTOR),
     "Linf": (LInf(), VECTOR),
     "edit": (EditDistance(), WORD),
+}
+#: Full float64 coordinates, so a lossy encoding of the stored vectors
+#: (through float32, say) changes their bits, and distances differ from
+#: their true values in the last bit.
+WIDE_COORDINATE = st.floats(min_value=-10, max_value=10, allow_nan=False)
+#: The parent-pruning properties also run on full-float64 L1 vectors,
+#: where the rounded parent-distance test can meet a hit at exactly r.
+PRUNING_SPACES = {
+    **SPACES,
+    "L1-f64": (L1(), st.lists(WIDE_COORDINATE, min_size=3, max_size=3)),
 }
 
 
@@ -162,7 +176,8 @@ def reference_range(tree, query, radius, use_parent_pruning=False,
 
     Children are pushed in entry order, so they are popped in reverse.
     Quarantined children are skipped before any pruning test, and the
-    parent-distance test is ``|d(Q, O_p) - d(O_i, O_p)| <= r_Q + r(N_i)``.
+    parent-distance test is ``|d(Q, O_p) - d(O_i, O_p)| <= r_Q + r(N_i)``
+    up to the tree's rounding slack.
     """
     metric = tree.metric
     items, visits = [], []
@@ -184,7 +199,9 @@ def reference_range(tree, query, radius, use_parent_pruning=False,
                 entry
                 for entry in entries
                 if abs(d_parent - entry.dist_to_parent)
-                <= radius + (0.0 if node.is_leaf else entry.radius)
+                <= radius
+                + (0.0 if node.is_leaf else entry.radius)
+                + PARENT_PRUNE_SLACK * (d_parent + entry.dist_to_parent)
             ]
         if not entries:
             continue
@@ -211,11 +228,11 @@ def assert_matches_reference(tree, query, radius, **options):
 
 
 @pytest.mark.parametrize("backend", backends())
-@pytest.mark.parametrize("space", sorted(SPACES))
+@pytest.mark.parametrize("space", sorted(PRUNING_SPACES))
 @ORACLE_SETTINGS
 @given(data=st.data())
 def test_range_paths_match_linear_scan(space, backend, data):
-    metric, item = SPACES[space]
+    metric, item = PRUNING_SPACES[space]
     with kernels.use_backend(backend):
         objects, queries = draw_case(data, item)
         radii = [draw_radius(data, metric, q, objects) for q in queries]
@@ -246,6 +263,33 @@ def test_range_paths_match_linear_scan(space, backend, data):
             assert got == {oid: float(first[oid]) for oid in oids}, mode
 
 
+@pytest.mark.parametrize("backend", backends())
+@pytest.mark.parametrize("seed", [86, 184])
+def test_parent_pruning_keeps_a_hit_at_exactly_the_radius(seed, backend):
+    """Full float64 3-d L1 data where the rounded parent-distance test
+    used to prune an object at distance exactly ``r`` (20 of 21 and 27
+    of 28 hits)."""
+    metric = L1()
+    with kernels.use_backend(backend):
+        rng = np.random.default_rng(seed)
+        points = rng.random((40, 3))
+        tree = bulk_load(points, metric, LAYOUT, seed=seed)
+        query = rng.random(3)
+        dists = metric.one_to_many(query, points)
+        radius = float(dists[rng.integers(40)])
+        truth = {
+            oid: float(dist)
+            for oid, dist in enumerate(dists)
+            if dist <= radius
+        }
+        for pruning in (False, True):
+            result, _log = assert_matches_reference(
+                tree, query, radius, use_parent_pruning=pruning
+            )
+            got = {oid: dist for oid, _obj, dist in result.items}
+            assert got == truth, pruning
+
+
 def draw_repeats(data, objects):
     """``objects`` plus copies of some of them, so distances tie."""
     repeats = data.draw(
@@ -260,11 +304,11 @@ def neighbor_items(result):
 
 
 @pytest.mark.parametrize("backend", backends())
-@pytest.mark.parametrize("space", sorted(SPACES))
+@pytest.mark.parametrize("space", sorted(PRUNING_SPACES))
 @ORACLE_SETTINGS
 @given(data=st.data())
 def test_knn_matches_linear_scan(space, backend, data):
-    metric, item = SPACES[space]
+    metric, item = PRUNING_SPACES[space]
     with kernels.use_backend(backend):
         objects, queries = draw_case(data, item)
         objects = draw_repeats(data, objects)
@@ -285,11 +329,11 @@ def test_knn_matches_linear_scan(space, backend, data):
 
 
 @pytest.mark.parametrize("backend", backends())
-@pytest.mark.parametrize("space", sorted(SPACES))
+@pytest.mark.parametrize("space", sorted(PRUNING_SPACES))
 @ORACLE_SETTINGS
 @given(data=st.data())
 def test_quarantined_subtree_is_missing_and_reported(space, backend, data):
-    metric, item = SPACES[space]
+    metric, item = PRUNING_SPACES[space]
     with kernels.use_backend(backend):
         objects, queries = draw_case(data, item)
         objects = draw_repeats(data, objects)
@@ -387,9 +431,6 @@ def test_stored_wide_vectors_are_found_at_their_own_distances(
 # -- Persistence: a saved and reloaded tree ----------------------------------
 
 PERSISTED = {"L1": L1(), "L2": L2(), "Linf": LInf(), "edit": EditDistance()}
-#: Full float64 coordinates, so a lossy encoding of the stored vectors
-#: (through float32, say) changes their bits.
-WIDE_COORDINATE = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 PERSIST_SETTINGS = settings(
     max_examples=15,

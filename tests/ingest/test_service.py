@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,10 +353,6 @@ class TestRecovery:
         Records, in order, each replace target, each directory fsync and
         each unlink while a checkpoint runs.
         """
-        import os
-        import stat
-        from pathlib import Path
-
         points = _points(40)
         service = _service(tmp_path, segment_max_bytes=256)
         for lo in range(0, len(points), 8):

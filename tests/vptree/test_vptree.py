@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.datasets.keywords import keyword_dataset
 from repro.exceptions import EmptyTreeError, InvalidParameterError
-from repro.metrics import L2, EditDistance, LInf
+from repro.metrics import L1, L2, CountingMetric, EditDistance, LInf
 from repro.vptree import VPTree, collect_vptree_shape
 from repro.workloads import LinearScanBaseline
 
@@ -56,6 +58,80 @@ class TestBuild:
             VPTree(L2(), arity=1)
         with pytest.raises(InvalidParameterError):
             VPTree(L2(), vantage_selection="best")
+
+
+def build_fingerprint(tree):
+    """SHA-256 over every node in preorder: its oid, its cutoffs as
+    ``float.hex`` and its child slots, an empty slot marked."""
+    digest = hashlib.sha256()
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            digest.update(b"-;")
+            continue
+        cutoffs = ",".join(float(cut).hex() for cut in node.cutoffs)
+        digest.update(f"{node.oid}|{cutoffs}|{len(node.children)};".encode())
+        stack.extend(reversed(node.children))
+    return digest.hexdigest()[:16]
+
+
+def pinned_objects(space):
+    """Full float64 vectors, or words with repeats (integer distances
+    that tie)."""
+    if space == "edit":
+        words = list(keyword_dataset(240, seed=17).words)
+        return words + words[::4]
+    return list(np.random.default_rng(16).random((300, 5)))
+
+
+PINNED_METRICS = {"L1": L1, "L2": L2, "Linf": LInf, "edit": EditDistance}
+
+#: (space, arity, selection) -> (fingerprint, distances the build
+#: computes), recorded from the node-at-a-time recursive build.  A
+#: faster build must make these same trees from these same distances.
+PINNED_BUILDS = {
+    ("L1", 2, "spread"): ("99576e70b5758b36", 6672),
+    ("L1", 2, "random"): ("de35f517414921e3", 1898),
+    ("L1", 3, "spread"): ("a412b7245fb620de", 4509),
+    ("L1", 3, "random"): ("08c0dfa9b73d517a", 1321),
+    ("L1", 4, "spread"): ("c3df9bf655c925ed", 3935),
+    ("L1", 4, "random"): ("7058f0b38cb95dac", 1088),
+    ("L2", 2, "spread"): ("a78f8dcbbe465d5b", 6672),
+    ("L2", 2, "random"): ("b62c2541e48e7e18", 1898),
+    ("L2", 3, "spread"): ("9749849d01ed3141", 4509),
+    ("L2", 3, "random"): ("d8153593fa809689", 1321),
+    ("L2", 4, "spread"): ("b906d8ef889de8c5", 3935),
+    ("L2", 4, "random"): ("cc728168a290f06e", 1088),
+    ("Linf", 2, "spread"): ("a0f31a5fa23bf2b2", 6672),
+    ("Linf", 2, "random"): ("66460be60b7bfa9a", 1898),
+    ("Linf", 3, "spread"): ("f5fded2b031b95c3", 4509),
+    ("Linf", 3, "random"): ("7b7a2b2383cb5907", 1321),
+    ("Linf", 4, "spread"): ("f3620b74539b8503", 3935),
+    ("Linf", 4, "random"): ("a6430d444b1ddbe9", 1088),
+    ("edit", 2, "spread"): ("7a0843d45eda180b", 6672),
+    ("edit", 2, "random"): ("2a6f08e987710e33", 1898),
+    ("edit", 3, "spread"): ("e807314e3beb48c2", 4509),
+    ("edit", 3, "random"): ("90ab4a6b50e41c26", 1321),
+    ("edit", 4, "spread"): ("2fc71b3c7a28ca09", 3935),
+    ("edit", 4, "random"): ("3f7172fb07cd7ba4", 1088),
+}
+
+
+class TestBuildIsPinned:
+    @pytest.mark.parametrize("selection", ["spread", "random"])
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("space", sorted(PINNED_METRICS))
+    def test_same_tree_from_the_same_distances(self, space, arity, selection):
+        objects = pinned_objects(space)
+        metric = CountingMetric(PINNED_METRICS[space]())
+        tree = VPTree.build(
+            objects, metric, arity=arity, vantage_selection=selection, seed=7
+        )
+        assert len(tree) == tree.n_nodes() == len(objects)
+        assert (build_fingerprint(tree), metric.calls) == PINNED_BUILDS[
+            (space, arity, selection)
+        ]
 
 
 class TestRangeQuery:

@@ -200,13 +200,15 @@ class KNNResult:
         return len(self.neighbors)
 
 
-#: Relative slack of the parent-distance test.  The three distances it
+#: Relative slack of the pruning tests.  The three distances a test
 #: relates are each rounded (a sum over D coordinates by up to about D
-#: ulps), so ``|d(Q, O_p) - d(O_i, O_p)|`` can exceed ``d(Q, O_i)`` by a
-#: few ulps of ``d(Q, O_p) + d(O_i, O_p)``, and an object at exactly the
-#: query radius would be pruned.  The slack scales with those two
-#: distances, not with the radius; it covers sums of thousands of
-#: coordinates and is far below one unit of an integer metric.
+#: ulps), so ``|d(Q, O_p) - d(O_i, O_p)|`` can exceed ``d(Q, O_i)``, and
+#: ``d(Q, O_r)`` can exceed ``d(Q, O) + d(O, O_r)`` for an object ``O``
+#: of the subtree, by a few ulps of the two distances the test reads; an
+#: object at exactly the query radius would then be pruned.  The slack
+#: scales with those two distances, not with the radius; it covers sums
+#: of thousands of coordinates and is far below one unit of an integer
+#: metric.
 PARENT_PRUNE_SLACK = 1e-12
 
 
@@ -836,7 +838,12 @@ class MTree:
                     reach = _concat(node.radii for node in group)
                     if kept is not None:
                         reach = reach[kept]
-                    tests = [row <= r + reach for row, r in zip(rows, radii)]
+                    # d(Q, O_r) <= r_Q + r(N_r), up to the distances'
+                    # rounding (PARENT_PRUNE_SLACK).
+                    tests = [
+                        row <= r + reach + PARENT_PRUNE_SLACK * (row + reach)
+                        for row, r in zip(rows, radii)
+                    ]
                     survive = tests[0] if single else combine.reduce(tests)
                     children = _chain(node.children for node in group)
                     n_inside = 0

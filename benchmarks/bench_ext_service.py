@@ -110,7 +110,13 @@ def test_ext_service_throughput(benchmark, scale, show):
 
 def test_ext_service_overload_shedding(benchmark, scale, show):
     n_queries = max(200, 2 * scale.n_queries)
-    registry = observability.install()
+    # Count into the registry the conftest's bench_metrics fixture
+    # installed, so the snapshot it emits holds this bench's series;
+    # install one here only when that fixture is off.
+    registry = observability.active_registry()
+    owned = registry is None
+    if registry is None:
+        registry = observability.install()
     try:
         result = benchmark.pedantic(
             run_overload_comparison,
@@ -120,7 +126,8 @@ def test_ext_service_overload_shedding(benchmark, scale, show):
         )
         rejected_metric = registry.snapshot().total("service.rejected")
     finally:
-        observability.uninstall()
+        if owned:
+            observability.uninstall()
     show(
         format_table(
             result["rows"],

@@ -4,7 +4,7 @@ Each ``benchmarks/bench_*.py`` file is executed in a subprocess with
 ``METRICOST_BENCH_SCALE=quick`` and ``--benchmark-disable`` (one plain
 call per bench, no timing rounds), asserting a clean exit and that the
 autouse conftest fixture emitted a metrics snapshot for every test in the
-file.  This keeps all twenty paper/extension benches runnable without
+file (for the serving benches, a snapshot holding at least one series).  This keeps all twenty paper/extension benches runnable without
 paying their default-scale runtimes in CI.  A quick-scale run must leave
 the tracked ``benchmarks/BENCH_*.json`` trajectories byte-identical.
 """
@@ -78,3 +78,7 @@ def test_bench_smoke(bench_file, tmp_path):
     for snapshot_file in snapshots:
         payload = json.loads(snapshot_file.read_text())
         assert payload["format"] == "metricost-metrics-v1"
+        if bench_file.stem == "bench_ext_service":
+            # Every serving bench runs instrumented code, so an empty
+            # snapshot means the bench counted into another registry.
+            assert payload["series"], f"{snapshot_file.name} holds no series"
